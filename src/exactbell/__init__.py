@@ -22,7 +22,6 @@ from .exactnum import (
     padic_norm,
     padic_valuation,
     parse_rational,
-    surd_mul,
     ultrametric_distance,
 )
 from .finitestates import (

@@ -25,8 +25,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping
 
-import numpy as np
-
 from .exactnum import as_rational, format_rational
 from .ontology import ContextPair
 
@@ -83,9 +81,15 @@ def decimal_string(value: Fraction, digits: int = 20) -> str:
 
 
 def tsirelson_gap(s_value: Fraction, digits: int = 20) -> str:
-    """Decimal |2*sqrt(2) - |S||, the distance to the quantum maximum."""
+    """Decimal |2*sqrt(2) - |S||, the distance to the quantum maximum.
+
+    For S = p/q the gap is |8q^2 - p^2| / (q^2 (2*sqrt(2) + |S|)). Since
+    8q^2 - p^2 is a nonzero integer and |S| <= 4, the gap is at least
+    1/(7q^2), so the cancellation costs at most 2 * (digits of q) + 1
+    digits of working precision.
+    """
     with localcontext() as ctx:
-        ctx.prec = digits + 25
+        ctx.prec = digits + 2 * len(str(s_value.denominator)) + 5
         gap = abs(Decimal(8).sqrt() - abs(Decimal(s_value.numerator) / Decimal(s_value.denominator)))
         ctx.prec = digits
         return str(+gap)
@@ -411,22 +415,38 @@ def classical_chsh_max() -> Fraction:
     return Fraction(best)
 
 
+Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+
 @dataclass(frozen=True)
 class SpinOracleResult:
-    """Floating-point spin operators, their closed-form eigenpairs, and
-    singlet expectations for the measurement triangle."""
+    """Floating-point spin operators (2x2 row tuples), their closed-form
+    eigenpairs, and singlet expectations for the measurement triangle."""
 
-    operators: dict[str, np.ndarray]
-    eigenpairs: dict[str, tuple[tuple[float, np.ndarray], tuple[float, np.ndarray]]]
+    operators: dict[str, Matrix2]
+    eigenpairs: dict[str, tuple[tuple[float, tuple[complex, complex]], ...]]
     singlet_expectation: float
     counterfactual_expectation: float
 
 
-_SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+_SINGLET = (0j, 1 / math.sqrt(2.0) + 0j, -1 / math.sqrt(2.0) + 0j, 0j)
+
+
+def _spin_projection(x: float, y: float, z: float) -> Matrix2:
+    # sigma.n = x*sigma_x + y*sigma_y + z*sigma_z, entry by entry.
+    return ((complex(z), complex(x, -y)), (complex(x, y), complex(-z)))
+
+
+def _singlet_expectation(left: Matrix2, right: Matrix2) -> float:
+    # <singlet| left (x) right |singlet>, read entry by entry off the 4x4
+    # Kronecker product: row 2i+k, column 2j+l holds left[i][j]*right[k][l].
+    kron = [
+        [left[i][j] * right[k][l] for j in range(2) for l in range(2)]
+        for i in range(2)
+        for k in range(2)
+    ]
+    bra = [sum(_SINGLET[r].conjugate() * kron[r][c] for r in range(4)) for c in range(4)]
+    return sum(bra[c] * _SINGLET[c] for c in range(4)).real
 
 
 def spin_operator_oracle(theta: float, gamma: float) -> SpinOracleResult:
@@ -437,8 +457,9 @@ def spin_operator_oracle(theta: float, gamma: float) -> SpinOracleResult:
     Hermitian spin projections sigma.n, eigenpairs are written in closed
     form (half-angle cosines with the azimuthal phase on the upper
     component), and the singlet expectations are evaluated numerically from
-    the 4x4 tensor product. This exists purely as a test oracle; the
-    production path never leaves exact arithmetic.
+    the operators' entries through the 4x4 tensor product. This exists
+    purely as a test oracle; the production path never leaves exact
+    arithmetic.
     """
     directions = {
         "x0": (0.0, 0.0, 1.0),
@@ -449,34 +470,17 @@ def spin_operator_oracle(theta: float, gamma: float) -> SpinOracleResult:
             math.cos(theta),
         ),
     }
-    operators = {
-        name: sum(component * sigma for component, sigma in zip(vector, _SIGMA))
-        for name, vector in directions.items()
-    }
-    half = theta / 2.0
+    operators = {name: _spin_projection(*vector) for name, vector in directions.items()}
+    cos_half, sin_half = math.cos(theta / 2.0), math.sin(theta / 2.0)
     phase = complex(math.cos(gamma), -math.sin(gamma))
     eigenpairs = {
-        "x0": (
-            (1.0, np.array([1.0, 0.0], dtype=complex)),
-            (-1.0, np.array([0.0, 1.0], dtype=complex)),
-        ),
-        "x1": (
-            (1.0, np.array([math.cos(half), math.sin(half)], dtype=complex)),
-            (-1.0, np.array([math.sin(half), -math.cos(half)], dtype=complex)),
-        ),
-        "y0": (
-            (1.0, np.array([phase * math.cos(half), math.sin(half)], dtype=complex)),
-            (-1.0, np.array([phase * math.sin(half), -math.cos(half)], dtype=complex)),
-        ),
+        "x0": ((1.0, (1.0, 0.0)), (-1.0, (0.0, 1.0))),
+        "x1": ((1.0, (cos_half, sin_half)), (-1.0, (sin_half, -cos_half))),
+        "y0": ((1.0, (phase * cos_half, sin_half)), (-1.0, (phase * sin_half, -cos_half))),
     }
-    singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-
-    def expectation(left: np.ndarray, right: np.ndarray) -> float:
-        return float(np.real(singlet.conj() @ np.kron(left, right) @ singlet))
-
     return SpinOracleResult(
         operators=operators,
         eigenpairs=eigenpairs,
-        singlet_expectation=expectation(operators["x0"], operators["y0"]),
-        counterfactual_expectation=expectation(operators["x1"], operators["y0"]),
+        singlet_expectation=_singlet_expectation(operators["x0"], operators["y0"]),
+        counterfactual_expectation=_singlet_expectation(operators["x1"], operators["y0"]),
     )

@@ -77,7 +77,6 @@ DOMAIN_EXIT = 2
 OPERATION_COVERAGE = {
     "niven_classify": "niven",
     "is_perfect_square": "counterfactual",
-    "surd_mul": "counterfactual",
     "ultrametric_distance": "padic",
     "padic_valuation": "padic",
     "validate_finite_state": "validate",

@@ -24,7 +24,6 @@ __all__ = [
     "format_rational",
     "niven_classify",
     "is_perfect_square",
-    "surd_mul",
     "ultrametric_distance",
     "padic_valuation",
     "padic_norm",
@@ -102,11 +101,6 @@ class RationalAngle:
             return 0
         return 1 if self.turns < quarter or self.turns > 3 * quarter else -1
 
-    @property
-    def radians(self) -> float:
-        """Float radians, for display and floating-point oracles only."""
-        return 2.0 * math.pi * float(self.turns)
-
 
 @dataclass(frozen=True)
 class CosineClass:
@@ -166,11 +160,15 @@ def is_perfect_square(value: Fraction | int) -> Fraction | None:
 # --- integer factoring used only to keep radicands square-free ----------
 
 _TRIAL_BOUND = 10_000
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to every base in _MR_BASES (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin for n < 3.3e24 with the fixed base set.
+    # Miller-Rabin with the prime bases 2..41: certain for n < _MR_BOUND,
+    # only probable at or above it.
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -380,13 +378,6 @@ class QuadraticSurd:
         return f"{format_rational(self.rat)} + {format_rational(self.coeff)}*sqrt({self.radicand})"
 
 
-def surd_mul(x: QuadraticSurd, y: QuadraticSurd) -> QuadraticSurd:
-    """Exact canonical product; sqrt(d)*sqrt(d) collapses into the rational
-    part. The factors must share a radicand unless one is purely rational.
-    """
-    return x * y
-
-
 @dataclass(frozen=True)
 class DigitString:
     """Finite base-N digit sequence: a coordinate inside an N-piece nested
@@ -443,7 +434,11 @@ def padic_valuation(value: Fraction | int, p: int) -> int | float:
     The valuation of 0 is +infinity, reported as math.inf. Composite p is
     rejected: the norm p**(-v) is multiplicative only for primes, which is
     why arbitrary bases are served by the digit-string ultrametric instead.
+    Primes at or above _MR_BOUND are refused too, since primality is
+    certain only below it.
     """
+    if isinstance(p, int) and p >= _MR_BOUND:
+        raise ValueError(f"primality is certain only below {_MR_BOUND}; got {p}")
     if not isinstance(p, int) or not _is_prime(p):
         raise ValueError(f"{p!r} is not a prime")
     value = as_rational(value)

@@ -218,8 +218,12 @@ def test_criterion_9_quantum_oracle_agreement():
         )
         for name, operator in oracle.operators.items():
             for eigenvalue, vector in oracle.eigenpairs[name]:
-                residual = operator @ vector - eigenvalue * vector
-                worst_residual = max(worst_residual, float(abs(residual[0]) + abs(residual[1])))
+                residual = [
+                    sum(entry * component for entry, component in zip(row, vector))
+                    - eigenvalue * vector[i]
+                    for i, row in enumerate(operator)
+                ]
+                worst_residual = max(worst_residual, abs(residual[0]) + abs(residual[1]))
     ok = worst_expectation < 1e-12 and worst_residual < 1e-12
     _report(
         9,

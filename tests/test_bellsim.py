@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from exactbell.bellsim import (
     rational_cos_approx,
     singlet_correlation,
     spin_operator_oracle,
+    tsirelson_gap,
     tsirelson_settings,
     verify_free_choice_on_IU,
     verify_local_causality_on_IU,
@@ -262,13 +264,40 @@ def test_classical_enumeration_independent():
     assert sums.count(2) == 8
 
 
+# --- distance to the quantum maximum ----------------------------------------------
+
+
+@pytest.mark.parametrize("N", [2**100, 2**200])
+def test_tsirelson_gap_matches_mpmath_at_huge_n(N):
+    s_value = chsh_value(build_bell_ensemble(tsirelson_settings(N))).s_value
+    with mpmath.workdps(300):
+        abs_s = mpmath.mpf(abs(s_value.numerator)) / s_value.denominator
+        exact_gap = abs(2 * mpmath.sqrt(2) - abs_s)
+        expected = mpmath.nstr(exact_gap, 20, min_fixed=1, max_fixed=0)
+    assert Decimal(tsirelson_gap(s_value)) == Decimal(expected)
+    assert Decimal(tsirelson_gap(s_value)) > 0
+
+
 # --- spin operator oracle ---------------------------------------------------------
+
+
+def _matvec(matrix, vector):
+    return [sum(row[j] * vector[j] for j in range(2)) for row in matrix]
+
+
+def _max_entry_distance(a, b):
+    return max(abs(a[i][j] - b[i][j]) for i in range(2) for j in range(2))
+
+
+def _dagger(matrix):
+    return [[matrix[j][i].conjugate() for j in range(2)] for i in range(2)]
 
 
 def test_oracle_theta_zero():
     oracle = spin_operator_oracle(0.0, 0.0)
-    assert np.allclose(oracle.operators["x0"], np.diag([1.0, -1.0]))
-    assert np.allclose(oracle.operators["y0"], np.diag([1.0, -1.0]))
+    pauli_z = [[1, 0], [0, -1]]
+    assert _max_entry_distance(oracle.operators["x0"], pauli_z) < 1e-12
+    assert _max_entry_distance(oracle.operators["y0"], pauli_z) < 1e-12
     assert abs(oracle.singlet_expectation + 1.0) < 1e-12
 
 
@@ -283,14 +312,15 @@ def test_oracle_matches_exact_singlet_rule_on_grid():
 
 def test_oracle_eigenvector_residuals():
     worst = 0.0
-    for theta in np.linspace(0.0, math.pi, 25):
-        for gamma in np.linspace(0.0, 2 * math.pi, 9):
-            oracle = spin_operator_oracle(float(theta), float(gamma))
+    for theta in (math.pi * i / 24 for i in range(25)):
+        for gamma in (2 * math.pi * i / 8 for i in range(9)):
+            oracle = spin_operator_oracle(theta, gamma)
             for name, operator in oracle.operators.items():
-                assert np.allclose(operator, operator.conj().T)
+                assert _max_entry_distance(operator, _dagger(operator)) < 1e-12
                 for eigenvalue, vector in oracle.eigenpairs[name]:
-                    residual = np.linalg.norm(operator @ vector - eigenvalue * vector)
-                    worst = max(worst, float(residual))
+                    image = _matvec(operator, vector)
+                    residual = math.hypot(*(abs(image[i] - eigenvalue * vector[i]) for i in range(2)))
+                    worst = max(worst, residual)
     assert worst < 1e-12
 
 

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +181,23 @@ def test_domain_error_exits_two(capsys):
     code, _, _ = run_cli(capsys, "padic", "--valuation", "1/2", "6")
     assert code == 2
 
+
+def test_padic_primality_is_certain_or_refused(capsys):
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every
+    # prime base up to 37; base 41 exposes it.
+    code, _, err = run_cli(capsys, "padic", "--valuation", "1", "318665857834031151167461")
+    assert code == 2
+    assert "not a prime" in err
+
+    # 2^89 - 1 is prime, but lies above psi_13, where primality is not certain.
+    code, _, err = run_cli(capsys, "padic", "--valuation", "1", str(2**89 - 1))
+    assert code == 2
+    assert "3317044064679887385961981" in err
+
+    code, out, _ = run_cli(capsys, "padic", "--valuation", "1", str(2**61 - 1))
+    assert code == 0
+    assert json.loads(out)["valuation"] == 0
+
     code, _, _ = run_cli(
         capsys, "chsh", "--N", "4",
         "--cos00", "1/3", "--cos01", "0", "--cos10", "0", "--cos11", "0",
@@ -282,7 +303,7 @@ def test_every_operation_is_mapped_to_a_subcommand():
     parser = cli.build_parser()
     subcommands = {"niven", "counterfactual", "superpose", "chsh", "sweep", "bits", "padic", "validate"}
     expected_operations = {
-        "niven_classify", "is_perfect_square", "surd_mul", "ultrametric_distance",
+        "niven_classify", "is_perfect_square", "ultrametric_distance",
         "padic_valuation",
         "validate_finite_state", "make_finite_qubit", "superpose_classify",
         "helix_ensemble", "ensemble_statistics",
@@ -313,3 +334,24 @@ def test_every_subcommand_runs_clean(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert out
+
+
+_THIRD_PARTY_IMPORTS = """
+import sys
+before = set(sys.modules)
+import exactbell.cli
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"exactbell"}))
+"""
+
+
+def test_cli_import_loads_only_the_standard_library():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _THIRD_PARTY_IMPORTS],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -21,7 +21,6 @@ from exactbell.exactnum import (
     padic_norm,
     padic_valuation,
     parse_rational,
-    surd_mul,
     ultrametric_distance,
     _square_free_decompose,
 )
@@ -162,16 +161,16 @@ def test_surd_canonical_form():
 def test_surd_mul_examples():
     x = QuadraticSurd(0, Fraction(3, 5), 2)
     y = QuadraticSurd(0, Fraction(1, 2), 2)
-    assert surd_mul(x, y) == Fraction(3, 5)
-    assert surd_mul(x, QuadraticSurd.from_rational(1)) == x
+    assert x * y == Fraction(3, 5)
+    assert x * QuadraticSurd.from_rational(1) == x
     z = QuadraticSurd(Fraction(1, 10), Fraction(0), 1)
     w = QuadraticSurd(0, Fraction(1), 3)
-    assert surd_mul(z, w) == QuadraticSurd(0, Fraction(1, 10), 3)
+    assert z * w == QuadraticSurd(0, Fraction(1, 10), 3)
 
 
 def test_surd_mixed_radicands_rejected():
     with pytest.raises(IncompatibleRadicandsError):
-        surd_mul(QuadraticSurd(0, 1, 2), QuadraticSurd(0, 1, 3))
+        QuadraticSurd(0, 1, 2) * QuadraticSurd(0, 1, 3)
     with pytest.raises(IncompatibleRadicandsError):
         QuadraticSurd(0, 1, 2) + QuadraticSurd(0, 1, 5)
 
