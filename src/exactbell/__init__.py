@@ -50,10 +50,8 @@ from .ontology import (
 )
 from .bellsim import (
     CONTEXTS,
-    AtomClass,
     BellEnsemble,
     ChshReport,
-    EnsembleAtom,
     MeasurementSettings,
     SpinOracleResult,
     TSIRELSON_2SQRT2,

@@ -13,6 +13,10 @@ absent, not merely zero-weighted: that is the whole point of the
 construction, and it is what lets the four conditional correlations reach
 past the classical bound while each atom still assigns its outcomes
 locally.
+
+Weights are integer numerators over one shared denominator, so every sum
+and comparison is integer arithmetic; a Fraction is made only for each
+reported value.
 """
 
 from __future__ import annotations
@@ -20,18 +24,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from enum import Enum
 from fractions import Fraction
 from itertools import product
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .exactnum import as_rational, format_rational
 from .ontology import ContextPair
 
 __all__ = [
     "CONTEXTS",
-    "AtomClass",
-    "EnsembleAtom",
     "MeasurementSettings",
     "BellEnsemble",
     "ChshReport",
@@ -61,6 +62,12 @@ CONTEXTS = (
 )
 
 _PM = (1, -1)
+_OUTCOME_PAIRS = frozenset(product(_PM, repeat=2))
+_PARTNERS = {context: context.complement() for context in CONTEXTS}
+# The 16 joint local assignments of one ensemble class and their label
+# suffixes, e.g. (1, -1, 1, 1) -> "+-++".
+_ASSIGNMENTS = tuple(product(_PM, repeat=4))
+_SIGNS = tuple("".join("+" if v > 0 else "-" for v in values) for values in _ASSIGNMENTS)
 
 
 def _sqrt8_decimal(digits: int) -> str:
@@ -132,54 +139,6 @@ def rational_cos_approx(target_square: Fraction | int | str, sign: int, N: int) 
     return Fraction(sign * best, N)
 
 
-class AtomClass(Enum):
-    SAME = "same"
-    DIFF = "diff"
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleAtom:
-    """One sample-space point: a base weight plus outcomes (a, b) in
-    {+1,-1}^2 for the contexts where this point is defined at all.
-
-    ``context_weights`` optionally overrides the base weight per context;
-    ensembles built by build_bell_ensemble never use it, but hand-built
-    ensembles exercising the verifiers need a way to weight a point
-    differently across its contexts.
-    """
-
-    lambda_id: str
-    atom_class: AtomClass
-    weight: Fraction
-    outcomes: Mapping[ContextPair, tuple[int, int]]
-    context_weights: Mapping[ContextPair, Fraction] | None = None
-
-    def __post_init__(self) -> None:
-        weight = as_rational(self.weight)
-        if weight < 0:
-            raise ValueError(f"{self.lambda_id}: negative weight")
-        outcomes = {}
-        for context, (a, b) in dict(self.outcomes).items():
-            if a not in _PM or b not in _PM:
-                raise ValueError(f"{self.lambda_id}: outcomes must be +1 or -1")
-            outcomes[ContextPair(*context)] = (a, b)
-        overrides = self.context_weights
-        if overrides is not None:
-            overrides = {ContextPair(*c): as_rational(w) for c, w in dict(overrides).items()}
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "context_weights", overrides)
-
-    def weight_in(self, context: ContextPair) -> Fraction:
-        """The weight this point carries in one context; zero where the
-        point is undefined."""
-        if context not in self.outcomes:
-            return Fraction(0)
-        if self.context_weights is not None:
-            return self.context_weights.get(context, Fraction(0))
-        return self.weight
-
-
 @dataclass(frozen=True)
 class MeasurementSettings:
     """Four per-context target cosines, each on the 1/N grid."""
@@ -224,16 +183,50 @@ def tsirelson_settings(N: int) -> MeasurementSettings:
 
 @dataclass(frozen=True)
 class BellEnsemble:
-    """Weighted sample space with per-context partial outcome tables."""
+    """Weighted sample space with per-context partial outcome tables.
 
-    atoms: tuple[EnsembleAtom, ...]
+    Atom i is ``labels[i]``. It is defined in the contexts of
+    ``outcomes[i]`` (context -> (a, b)) and carries the weight
+    ``weights[i][context] / denominator`` in each of them.
+    """
+
+    labels: tuple[str, ...]
+    outcomes: tuple[Mapping[ContextPair, tuple[int, int]], ...]
+    weights: tuple[Mapping[ContextPair, int], ...]
+    denominator: int
     N: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", tuple(self.atoms))
+        if not isinstance(self.denominator, int) or self.denominator <= 0:
+            raise ValueError(f"denominator {self.denominator!r} must be a positive integer")
+        for label, outcomes, weights in zip(self.labels, self.outcomes, self.weights, strict=True):
+            if not outcomes.keys() <= _PARTNERS.keys():
+                raise ValueError(f"{label}: contexts must be pairs of bits")
+            if not _OUTCOME_PAIRS.issuperset(outcomes.values()):
+                raise ValueError(f"{label}: outcomes must be +1 or -1")
+            if weights.keys() != outcomes.keys():
+                raise ValueError(f"{label}: weights must cover exactly the defined contexts")
+            if any(not isinstance(w, int) or w < 0 for w in weights.values()):
+                raise ValueError(f"{label}: weights must be nonnegative integers")
 
-    def total_weight(self) -> Fraction:
-        return sum((atom.weight for atom in self.atoms), Fraction(0))
+    @classmethod
+    def from_atoms(cls, atoms: Iterable[tuple[str, Mapping, Mapping]], N: int) -> BellEnsemble:
+        """Ensemble from hand-written atoms ``(label, outcomes, weights)``.
+
+        ``outcomes`` maps each context the atom defines to (a, b);
+        ``weights`` maps contexts to rational weights, and a defined
+        context it leaves out weighs 0. The weights are scaled to integer
+        numerators over their least common denominator.
+        """
+        labels, outcomes, rational = [], [], []
+        for label, atom_outcomes, atom_weights in atoms:
+            given = {ContextPair(*c): as_rational(w) for c, w in dict(atom_weights).items()}
+            labels.append(label)
+            outcomes.append({ContextPair(*c): tuple(ab) for c, ab in dict(atom_outcomes).items()})
+            rational.append({c: given.get(c, Fraction(0)) for c in outcomes[-1]})
+        denominator = math.lcm(*(w.denominator for ws in rational for w in ws.values()))
+        weights = tuple({c: int(w * denominator) for c, w in ws.items()} for ws in rational)
+        return cls(tuple(labels), tuple(outcomes), weights, denominator, N)
 
 
 @dataclass(frozen=True)
@@ -248,64 +241,61 @@ class ChshReport:
     tsirelson_reference: str
 
 
-def _pair_weight(a: int, b: int, correlation: Fraction) -> Fraction:
-    # Unique two-outcome distribution with zero marginals and the target
-    # correlation; nonnegative whenever |correlation| <= 1.
-    return (1 + a * b * correlation) / 4
-
-
-def _sign_char(value: int) -> str:
-    return "+" if value > 0 else "-"
-
-
 def build_bell_ensemble(settings: MeasurementSettings) -> BellEnsemble:
     """Realize the four singlet correlations on a paired sample space.
 
     Each class gets total weight 1/2 and 16 atoms, one per joint local
     assignment of its two contexts; within a class the two contexts are
-    filled independently with the zero-marginal pair distribution, which is
-    the minimal exact construction hitting the target correlations. The
-    correlation targets come from the singlet rule applied to the rational
-    cosines, so the geometry, not the bookkeeping, bounds the outcome.
+    filled independently with the zero-marginal pair distribution
+    (1 + a*b*E)/4, which is the minimal exact construction hitting the
+    target correlations E. The targets come from the singlet rule E = -cos
+    applied to the rational cosines, so the geometry, not the bookkeeping,
+    bounds the outcome. With k = N*cos, an integer on the 1/N grid, an atom
+    assigning (a, b) and (a', b') weighs (N - abk)(N - a'b'k') / (32 N^2).
     """
-    targets = {context: singlet_correlation(settings.cosine(context)) for context in CONTEXTS}
+    N = settings.N
+    k00, k01, k10, k11 = (
+        cos.numerator * (N // cos.denominator)
+        for cos in (settings.cos00, settings.cos01, settings.cos10, settings.cos11)
+    )
     c00, c01, c10, c11 = CONTEXTS
-    half = Fraction(1, 2)
-    atoms = []
-    for a0, b0, a1, b1 in product(_PM, repeat=4):
-        weight = half * _pair_weight(a0, b0, targets[c00]) * _pair_weight(a1, b1, targets[c11])
-        label = "same:" + "".join(_sign_char(v) for v in (a0, b0, a1, b1))
-        atoms.append(
-            EnsembleAtom(label, AtomClass.SAME, weight, {c00: (a0, b0), c11: (a1, b1)})
-        )
-    for a0, b1, a1, b0 in product(_PM, repeat=4):
-        weight = half * _pair_weight(a0, b1, targets[c01]) * _pair_weight(a1, b0, targets[c10])
-        label = "diff:" + "".join(_sign_char(v) for v in (a0, b1, a1, b0))
-        atoms.append(
-            EnsembleAtom(label, AtomClass.DIFF, weight, {c01: (a0, b1), c10: (a1, b0)})
-        )
-    return BellEnsemble(tuple(atoms), settings.N)
+    labels: list[str] = []
+    outcomes: list[dict[ContextPair, tuple[int, int]]] = []
+    weights: list[dict[ContextPair, int]] = []
+    for name, first, k_first, second, k_second in (
+        ("same:", c00, k00, c11, k11),
+        ("diff:", c01, k01, c10, k10),
+    ):
+        for (a, b, a2, b2), signs in zip(_ASSIGNMENTS, _SIGNS):
+            weight = (N - a * b * k_first) * (N - a2 * b2 * k_second)
+            labels.append(name + signs)
+            outcomes.append({first: (a, b), second: (a2, b2)})
+            weights.append({first: weight, second: weight})
+    return BellEnsemble(tuple(labels), tuple(outcomes), tuple(weights), 32 * N * N, N)
 
 
 def chsh_value(ensemble: BellEnsemble) -> ChshReport:
     """Exact CHSH report with conditional normalization per context:
     p(point | context) is the point's weight divided by the total weight of
     the points defined in that context."""
-    correlations: dict[ContextPair, Fraction] = {}
-    marginals_a: dict[ContextPair, Fraction] = {}
-    marginals_b: dict[ContextPair, Fraction] = {}
+    correlations, marginals_a, marginals_b = {}, {}, {}
     for context in CONTEXTS:
-        rows = [
-            (atom.outcomes[context], atom.weight_in(context))
-            for atom in ensemble.atoms
-            if context in atom.outcomes
-        ]
-        total = sum((w for _, w in rows), Fraction(0))
+        total = sum_ab = sum_a = sum_b = 0
+        for outcomes, weights in zip(ensemble.outcomes, ensemble.weights):
+            pair = outcomes.get(context)
+            if pair is None:
+                continue
+            a, b = pair
+            w = weights[context]
+            total += w
+            sum_ab += a * b * w
+            sum_a += a * w
+            sum_b += b * w
         if total == 0:
             raise ValueError(f"context {tuple(context)} carries zero total weight")
-        correlations[context] = sum((a * b * w for (a, b), w in rows), Fraction(0)) / total
-        marginals_a[context] = sum((a * w for (a, _), w in rows), Fraction(0)) / total
-        marginals_b[context] = sum((b * w for (_, b), w in rows), Fraction(0)) / total
+        correlations[context] = Fraction(sum_ab, total)
+        marginals_a[context] = Fraction(sum_a, total)
+        marginals_b[context] = Fraction(sum_b, total)
     c00, c01, c10, c11 = CONTEXTS
     s_value = correlations[c00] + correlations[c01] + correlations[c10] - correlations[c11]
     return ChshReport(correlations, marginals_a, marginals_b, s_value, TSIRELSON_2SQRT2)
@@ -316,32 +306,34 @@ def free_choice_violations(ensemble: BellEnsemble) -> list[str]:
     support: every point must carry one and the same conditional
     probability across all contexts it defines, and its defined set must
     close under complementation (so the zero weight of a cross context
-    never sits opposite a nonzero one)."""
-    totals = {
-        context: sum((atom.weight_in(context) for atom in ensemble.atoms), Fraction(0))
-        for context in CONTEXTS
-    }
+    never sits opposite a nonzero one).
+
+    Conditionals w/T are compared by cross-multiplication, w*T' == w'*T; a
+    zero weight counts as the conditional 0/1, also in a context of zero
+    total."""
+    totals = dict.fromkeys(CONTEXTS, 0)
+    for weights in ensemble.weights:
+        for context, w in weights.items():
+            totals[context] += w
     violations: list[str] = []
-    for atom in ensemble.atoms:
-        defined = sorted(atom.outcomes)
+    for label, outcomes, weights in zip(ensemble.labels, ensemble.outcomes, ensemble.weights):
+        defined = sorted(outcomes)
         if not defined:
-            violations.append(f"{atom.lambda_id}: defines no contexts at all")
+            violations.append(f"{label}: defines no contexts at all")
             continue
-        conditionals = {}
         for context in defined:
-            w = atom.weight_in(context)
-            conditionals[context] = w / totals[context] if w else Fraction(0)
-        for context in defined:
-            partner = context.complement()
-            if partner not in atom.outcomes:
+            if _PARTNERS[context] not in outcomes:
                 violations.append(
-                    f"{atom.lambda_id}: defined in {tuple(context)} but not in its"
-                    f" admissible partner {tuple(partner)}"
+                    f"{label}: defined in {tuple(context)} but not in its"
+                    f" admissible partner {tuple(_PARTNERS[context])}"
                 )
-        if len(set(conditionals.values())) > 1:
-            violations.append(
-                f"{atom.lambda_id}: conditional weight differs across defined contexts"
-            )
+        first, *others = defined
+        w0, t0 = (weights[first], totals[first]) if weights[first] else (0, 1)
+        for context in others:
+            w, t = (weights[context], totals[context]) if weights[context] else (0, 1)
+            if w * t0 != w0 * t:
+                violations.append(f"{label}: conditional weight differs across defined contexts")
+                break
     return violations
 
 
@@ -358,19 +350,15 @@ def local_causality_violations(ensemble: BellEnsemble) -> list[str]:
     as conflict-freedom of the induced assignments, not inferred from the
     context structure."""
     violations: list[str] = []
-    for atom in ensemble.atoms:
+    for label, outcomes in zip(ensemble.labels, ensemble.outcomes):
         a_by_x: dict[int, int] = {}
         b_by_y: dict[int, int] = {}
-        for context in sorted(atom.outcomes):
-            a, b = atom.outcomes[context]
+        for context in sorted(outcomes):
+            a, b = outcomes[context]
             if a_by_x.setdefault(context.x, a) != a:
-                violations.append(
-                    f"{atom.lambda_id}: outcome a at x={context.x} depends on y"
-                )
+                violations.append(f"{label}: outcome a at x={context.x} depends on y")
             if b_by_y.setdefault(context.y, b) != b:
-                violations.append(
-                    f"{atom.lambda_id}: outcome b at y={context.y} depends on x"
-                )
+                violations.append(f"{label}: outcome b at y={context.y} depends on x")
     return violations
 
 
@@ -381,26 +369,30 @@ def verify_local_causality_on_IU(ensemble: BellEnsemble) -> bool:
 def collapse_contexts(ensemble: BellEnsemble) -> BellEnsemble:
     """Forget the context pairing: reinterpret each point's underlying local
     assignment (a at x=0, a at x=1, b at y=0, b at y=1) as defining
-    outcomes in all four contexts.
+    outcomes in all four contexts, at the point's one weight.
 
     The result is a conventional one-sample-space model with
     context-independent weights, so its CHSH combination is bounded by the
     deterministic maximum of 2 no matter what the source ensemble achieved.
     """
-    collapsed = []
-    for atom in ensemble.atoms:
+    outcomes, weights = [], []
+    for label, atom_outcomes, atom_weights in zip(
+        ensemble.labels, ensemble.outcomes, ensemble.weights
+    ):
         a_by_x: dict[int, int] = {}
         b_by_y: dict[int, int] = {}
-        for context, (a, b) in atom.outcomes.items():
+        for context, (a, b) in atom_outcomes.items():
             if a_by_x.setdefault(context.x, a) != a or b_by_y.setdefault(context.y, b) != b:
-                raise ValueError(f"{atom.lambda_id}: inconsistent local assignment")
+                raise ValueError(f"{label}: inconsistent local assignment")
         if set(a_by_x) != {0, 1} or set(b_by_y) != {0, 1}:
-            raise ValueError(
-                f"{atom.lambda_id}: atom does not determine all four local values"
-            )
-        outcomes = {context: (a_by_x[context.x], b_by_y[context.y]) for context in CONTEXTS}
-        collapsed.append(EnsembleAtom(atom.lambda_id, atom.atom_class, atom.weight, outcomes))
-    return BellEnsemble(tuple(collapsed), ensemble.N)
+            raise ValueError(f"{label}: atom does not determine all four local values")
+        if len(set(atom_weights.values())) != 1:
+            raise ValueError(f"{label}: weight differs across its contexts")
+        outcomes.append({c: (a_by_x[c.x], b_by_y[c.y]) for c in CONTEXTS})
+        weights.append(dict.fromkeys(CONTEXTS, max(atom_weights.values())))
+    return BellEnsemble(
+        ensemble.labels, tuple(outcomes), tuple(weights), ensemble.denominator, ensemble.N
+    )
 
 
 def classical_chsh_max() -> Fraction:

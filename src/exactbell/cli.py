@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -143,7 +144,10 @@ def _bits_arg(text: str) -> BitString:
     return BitString(tuple(int(ch) for ch in text))
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # Built once per process: parse_args keeps no state between calls, and
+    # building the parser costs milliseconds on every in-process main().
     common = _Parser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "csv", "plain"), default="json", help="output format"

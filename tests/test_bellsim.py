@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 
 from exactbell.bellsim import (
     CONTEXTS,
-    AtomClass,
     BellEnsemble,
-    EnsembleAtom,
     MeasurementSettings,
     build_bell_ensemble,
     chsh_value,
@@ -116,16 +114,23 @@ def test_tsirelson_16_gives_exact_s():
     assert abs(report.s_value) > 2
 
 
+def _atom_weights(ensemble):
+    # Each built atom carries one weight in both of its contexts; return
+    # those weights as exact rationals.
+    assert all(len(set(weights.values())) == 1 for weights in ensemble.weights)
+    return [Fraction(max(weights.values()), ensemble.denominator) for weights in ensemble.weights]
+
+
 def test_atom_structure_and_weights():
     ensemble = build_bell_ensemble(tsirelson_settings(16))
-    assert len(ensemble.atoms) == 32
-    assert ensemble.total_weight() == 1
-    for atom in ensemble.atoms:
-        assert atom.weight >= 0
+    assert len(ensemble.labels) == 32
+    assert sum(_atom_weights(ensemble)) == 1
+    for label, outcomes, weight in zip(ensemble.labels, ensemble.outcomes, _atom_weights(ensemble)):
+        assert weight >= 0
         expected = (
-            {C00, C11} if atom.atom_class is AtomClass.SAME else {C01, C10}
+            {C00, C11} if label.startswith("same:") else {C01, C10}
         )
-        assert set(atom.outcomes) == expected
+        assert set(outcomes) == expected
 
 
 @st.composite
@@ -140,8 +145,8 @@ def settings_strategy(draw):
 @given(settings_strategy())
 def test_exactness_of_correlations_and_marginals(measurement):
     ensemble = build_bell_ensemble(measurement)
-    assert ensemble.total_weight() == 1
-    assert all(atom.weight >= 0 for atom in ensemble.atoms)
+    assert sum(_atom_weights(ensemble)) == 1
+    assert all(weight >= 0 for weight in _atom_weights(ensemble))
     report = chsh_value(ensemble)
     for context in CONTEXTS:
         assert report.correlations[context] == -measurement.cosine(context)
@@ -162,8 +167,8 @@ def test_verifiers_hold_on_all_built_ensembles(measurement):
 @given(settings_strategy())
 def test_collapsed_ensembles_respect_classical_bound(measurement):
     collapsed = collapse_contexts(build_bell_ensemble(measurement))
-    for atom in collapsed.atoms:
-        assert set(atom.outcomes) == set(CONTEXTS)
+    for outcomes in collapsed.outcomes:
+        assert set(outcomes) == set(CONTEXTS)
     report = chsh_value(collapsed)
     assert abs(report.s_value) <= 2
 
@@ -189,17 +194,59 @@ def test_convergence_to_quantum_maximum_for_all_small_n():
         assert high * high >= 8
 
 
+def _same_atom(label, weight, outcomes, context_weights=None):
+    # A hand-built atom for BellEnsemble.from_atoms: one weight in every
+    # defined context unless context_weights overrides it per context.
+    if context_weights is None:
+        context_weights = dict.fromkeys(outcomes, weight)
+    return (label, outcomes, context_weights)
+
+
 def test_zero_weight_context_rejected():
-    atom = EnsembleAtom("solo", AtomClass.SAME, Fraction(1), {C00: (1, 1), C11: (1, 1)})
+    atom = _same_atom("solo", Fraction(1), {C00: (1, 1), C11: (1, 1)})
     with pytest.raises(ValueError, match="zero total weight"):
-        chsh_value(BellEnsemble((atom,), 2))
+        chsh_value(BellEnsemble.from_atoms((atom,), 2))
+
+
+def test_hand_built_weights_scale_to_one_denominator():
+    ensemble = BellEnsemble.from_atoms(
+        [
+            ("p", {C00: (1, 1), C11: (1, -1)}, {C00: Fraction(1, 6), C11: Fraction(1, 4)}),
+            ("q", {C00: (-1, 1), C11: (1, 1)}, {C00: Fraction(1, 3), C11: Fraction(1, 4)}),
+            ("r", {C01: (1, 1), C10: (-1, -1)}, {C01: Fraction(1, 2), C10: Fraction(1, 2)}),
+        ],
+        2,
+    )
+    assert ensemble.denominator == 12
+    assert ensemble.weights == ({C00: 2, C11: 3}, {C00: 4, C11: 3}, {C01: 6, C10: 6})
+    report = chsh_value(ensemble)
+    assert report.correlations == {C00: Fraction(-1, 3), C01: 1, C10: 1, C11: 0}
+    assert report.marginals_a == {C00: Fraction(-1, 3), C01: 1, C10: -1, C11: 1}
+    assert report.marginals_b == {C00: 1, C01: 1, C10: -1, C11: 0}
+    assert report.s_value == Fraction(5, 3)
+    # A defined context the weights leave out weighs 0.
+    partial = BellEnsemble.from_atoms([("z", {C00: (1, 1), C11: (1, 1)}, {C00: Fraction(1, 3)})], 2)
+    assert (partial.weights, partial.denominator) == (({C00: 1, C11: 0},), 3)
+
+
+def test_ensemble_rejects_malformed_columns():
+    with pytest.raises(ValueError, match=r"x: outcomes must be \+1 or -1"):
+        BellEnsemble.from_atoms([("x", {C00: (2, 1)}, {C00: 1})], 2)
+    with pytest.raises(ValueError, match="x: weights must be nonnegative integers"):
+        BellEnsemble.from_atoms([("x", {C00: (1, 1)}, {C00: -1})], 2)
+    with pytest.raises(ValueError, match="x: contexts must be pairs of bits"):
+        BellEnsemble.from_atoms([("x", {(2, 0): (1, 1)}, {(2, 0): 1})], 2)
+    with pytest.raises(ValueError, match="x: weights must cover exactly the defined contexts"):
+        BellEnsemble(("x",), ({C00: (1, 1)},), ({C11: 1},), 1, 2)
+    with pytest.raises(ValueError, match="x: weights must be nonnegative integers"):
+        BellEnsemble(("x",), ({C00: (1, 1)},), ({C00: Fraction(1, 2)},), 1, 2)
+    with pytest.raises(ValueError, match="positive integer"):
+        BellEnsemble((), (), (), 0, 2)
+    with pytest.raises(ValueError):
+        BellEnsemble(("x", "y"), ({},), ({},), 1, 2)
 
 
 # --- verifier edge cases ----------------------------------------------------------
-
-
-def _same_atom(label, weight, outcomes, context_weights=None):
-    return EnsembleAtom(label, AtomClass.SAME, weight, outcomes, context_weights)
 
 
 def test_free_choice_fails_on_unequal_context_weights():
@@ -210,7 +257,7 @@ def test_free_choice_fails_on_unequal_context_weights():
         context_weights={C00: Fraction(1, 2), C11: Fraction(1, 4)},
     )
     filler = _same_atom("filler", Fraction(1, 2), {C00: (-1, 1), C11: (-1, -1)})
-    ensemble = BellEnsemble((atom, filler), 2)
+    ensemble = BellEnsemble.from_atoms((atom, filler), 2)
     violations = free_choice_violations(ensemble)
     assert violations and "skewed" in violations[0]
     assert not verify_free_choice_on_IU(ensemble)
@@ -218,14 +265,14 @@ def test_free_choice_fails_on_unequal_context_weights():
 
 def test_free_choice_fails_on_missing_partner_context():
     atom = _same_atom("half", Fraction(1), {C00: (1, 1)})
-    ensemble = BellEnsemble((atom,), 2)
+    ensemble = BellEnsemble.from_atoms((atom,), 2)
     assert any("admissible partner" in v for v in free_choice_violations(ensemble))
 
 
 def test_free_choice_fails_on_empty_atom_with_diagnostic():
     empty = _same_atom("hollow", Fraction(1, 2), {})
     filler = _same_atom("filler", Fraction(1, 2), {C00: (1, 1), C11: (1, 1)})
-    ensemble = BellEnsemble((empty, filler), 2)
+    ensemble = BellEnsemble.from_atoms((empty, filler), 2)
     violations = free_choice_violations(ensemble)
     assert any("hollow" in v and "no contexts" in v for v in violations)
     assert not verify_free_choice_on_IU(ensemble)
@@ -233,7 +280,7 @@ def test_free_choice_fails_on_empty_atom_with_diagnostic():
 
 def test_local_causality_fails_on_cross_context_conflict():
     atom = _same_atom("conflicted", Fraction(1), {C00: (1, 1), C01: (-1, 1)})
-    ensemble = BellEnsemble((atom,), 2)
+    ensemble = BellEnsemble.from_atoms((atom,), 2)
     assert not verify_local_causality_on_IU(ensemble)
     assert any("depends on y" in v for v in local_causality_violations(ensemble))
 
@@ -241,7 +288,7 @@ def test_local_causality_fails_on_cross_context_conflict():
 def test_local_causality_holds_when_shared_setting_agrees():
     # Conflict-freedom is what gets checked, not the context structure.
     atom = _same_atom("aligned", Fraction(1), {C00: (1, 1), C01: (1, -1)})
-    ensemble = BellEnsemble((atom,), 2)
+    ensemble = BellEnsemble.from_atoms((atom,), 2)
     assert verify_local_causality_on_IU(ensemble)
 
 

@@ -355,3 +355,31 @@ def test_cli_import_loads_only_the_standard_library():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    # main() reuses one parser per process; each call must still behave
+    # exactly like a fresh process, including after a usage error.
+    monkeypatch.setenv("COLUMNS", "80")
+    config = tmp_path / "run.conf"
+    config.write_text("N = 16\nauto_tsirelson = true\n")
+    calls = [
+        ("chsh", "--N", "64", "--auto-tsirelson"),
+        ("sweep", "--N", "8,16", "--cos00", "0.7"),
+        ("chsh", "--config", str(config)),
+        ("sweep", "--N", "8,16,1024", "--auto-tsirelson", "--format", "csv"),
+        ("counterfactual", "--cos-a", "1/2", "--cos-b", "1/3", "--gamma", "1/6"),
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    codes = []
+    for argv in calls:
+        in_process = run_cli(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "exactbell.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(in_process[0])
+    assert codes == [0, 1, 0, 0, 0]
