@@ -199,6 +199,11 @@ class BellEnsemble:
     def __post_init__(self) -> None:
         if not isinstance(self.denominator, int) or self.denominator <= 0:
             raise ValueError(f"denominator {self.denominator!r} must be a positive integer")
+        if len(self.labels) == len(self.outcomes) == len(self.weights) and _well_formed(
+            self.outcomes, self.weights
+        ):
+            return
+        # Something is malformed: name the first atom at fault.
         for label, outcomes, weights in zip(self.labels, self.outcomes, self.weights, strict=True):
             if not outcomes.keys() <= _PARTNERS.keys():
                 raise ValueError(f"{label}: contexts must be pairs of bits")
@@ -227,6 +232,18 @@ class BellEnsemble:
         denominator = math.lcm(*(w.denominator for ws in rational for w in ws.values()))
         weights = tuple({c: int(w * denominator) for c, w in ws.items()} for ws in rational)
         return cls(tuple(labels), tuple(outcomes), weights, denominator, N)
+
+
+def _well_formed(outcomes: tuple[Mapping, ...], weights: tuple[Mapping, ...]) -> bool:
+    """All of BellEnsemble's per-atom checks at once, over whole columns."""
+    numerators = [w for atom in weights for w in atom.values()]
+    return (
+        [atom.keys() for atom in outcomes] == [atom.keys() for atom in weights]
+        and _PARTNERS.keys() >= set().union(*outcomes)
+        and _OUTCOME_PAIRS >= set().union(*(atom.values() for atom in outcomes))
+        and {int} >= set(map(type, numerators))
+        and min(numerators, default=0) >= 0
+    )
 
 
 @dataclass(frozen=True)

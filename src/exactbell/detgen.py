@@ -9,7 +9,6 @@ directions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,29 +43,34 @@ class BitString:
 def generate_bits(r0: Fraction | int | str, n: int) -> BitString:
     """First n bits of the binary expansion of r0 via the doubling map.
 
-    Each step emits floor(2r) and keeps the remainder, all in exact
-    rational arithmetic. Rational orbits are eventually periodic; the first
-    state recurrence fixes ``period``.
+    Each step emits floor(2r) and keeps the remainder, run exactly on the
+    integer numerator r of r0 = r/den in lowest terms. Rational orbits are
+    eventually periodic; the first state recurrence fixes ``period``. With
+    den = 2**tail * odd, the first ``tail`` states have distinct even
+    reduced denominators and doubling permutes the rest, so the first
+    state to recur is the one at step ``tail``.
     """
     r0 = as_rational(r0)
     if not 0 <= r0 < 1:
         raise ValueError(f"seed {r0} outside [0, 1)")
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
+    r, den = r0.numerator, r0.denominator
+    tail = (den & -den).bit_length() - 1
+    anchor = r
     bits = []
-    seen = {r0: 0}
     period = None
-    r = r0
     for step in range(1, n + 1):
-        doubled = 2 * r
-        bit = math.floor(doubled)
-        bits.append(bit)
-        r = doubled - bit
-        if period is None:
-            if r in seen:
-                period = step - seen[r]
-            else:
-                seen[r] = step
+        r <<= 1
+        if r >= den:
+            r -= den
+            bits.append(1)
+        else:
+            bits.append(0)
+        if step <= tail:
+            anchor = r
+        elif period is None and r == anchor:
+            period = step - tail
     return BitString(tuple(bits), period)
 
 

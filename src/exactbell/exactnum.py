@@ -157,105 +157,21 @@ def is_perfect_square(value: Fraction | int) -> Fraction | None:
     return None
 
 
-# --- integer factoring used only to keep radicands square-free ----------
-
-_TRIAL_BOUND = 10_000
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# psi_13, the least strong pseudoprime to every base in _MR_BASES (Sorenson
-# and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
-_MR_BOUND = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    # Miller-Rabin with the prime bases 2..41: certain for n < _MR_BOUND,
-    # only probable at or above it.
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    # n odd composite with no factors below _TRIAL_BOUND.
-    for c in range(1, 64):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"failed to split {n}")
-
-
-def _factorize(n: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    f = 2
-    while f * f <= n and f < _TRIAL_BOUND:
-        while n % f == 0:
-            factors[f] = factors.get(f, 0) + 1
-            n //= f
-        f += 1 if f == 2 else 2
-    if n == 1:
-        return factors
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if _is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        root = math.isqrt(m)
-        if root * root == m:
-            stack.extend((root, root))
-            continue
-        d = _pollard_rho(m)
-        stack.extend((d, m // d))
-    return factors
-
-
-def _square_free_decompose(n: int) -> tuple[int, int]:
-    """Split n >= 1 as s*s*d with d square-free; returns (s, d)."""
-    if n < 1:
-        raise ValueError("expected a natural number >= 1")
-    square, free = 1, 1
-    for prime, exponent in _factorize(n).items():
-        square *= prime ** (exponent // 2)
-        if exponent % 2:
-            free *= prime
-    return square, free
-
-
 class IncompatibleRadicandsError(ValueError):
-    """Raised when surds over different radicals would need to combine."""
+    """Raised when surds from different quadratic fields would need to combine."""
 
 
 @dataclass(frozen=True, eq=False)
 class QuadraticSurd:
     """Exact value rat + coeff*sqrt(radicand) over a single radical.
 
-    Canonical form: the radicand is square-free, and a purely rational
-    value always has radicand 1 and coeff 0, so structural equality is
-    value equality. The single-radical restriction keeps the type closed
-    and decidable; sums over distinct radicals are refused rather than
-    approximated.
+    The radicand need not be square-free, but it is 1 exactly when the
+    value is rational: the constructor folds a perfect-square radicand
+    into ``rat`` with one isqrt, so no decision here ever factors an
+    integer. Equality and hashing compare values, not fields. Two
+    irrational surds combine only when they lie in one quadratic field
+    (the product of their radicands is a perfect square); sums across
+    fields are refused rather than approximated.
     """
 
     rat: Fraction
@@ -268,13 +184,11 @@ class QuadraticSurd:
         radicand = self.radicand
         if not isinstance(radicand, int) or radicand < 1:
             raise ValueError("radicand must be a natural number >= 1")
-        if coeff != 0 and radicand != 1:
-            square, radicand = _square_free_decompose(radicand)
-            coeff *= square
-        if radicand == 1:
-            rat += coeff
-            coeff = Fraction(0)
-        if coeff == 0:
+        if coeff:
+            root = math.isqrt(radicand)
+            if root * root == radicand:
+                rat, coeff = rat + coeff * root, Fraction(0)
+        if not coeff:
             radicand = 1
         object.__setattr__(self, "rat", rat)
         object.__setattr__(self, "coeff", coeff)
@@ -286,17 +200,12 @@ class QuadraticSurd:
 
     @classmethod
     def sqrt(cls, value: Fraction | int) -> "QuadraticSurd":
-        """Exact square root of a nonnegative rational, as a canonical surd."""
+        """Exact square root of a nonnegative rational p/q, as (1/q)*sqrt(p*q)."""
         value = as_rational(value)
         exact = is_perfect_square(value)
         if exact is not None:
             return cls.from_rational(exact)
-        num_square, num_free = _square_free_decompose(value.numerator)
-        den_square, den_free = _square_free_decompose(value.denominator)
-        shared = math.gcd(num_free, den_free)
-        radicand = (num_free // shared) * (den_free // shared)
-        outer = Fraction(num_square * shared, den_square * den_free)
-        return cls(Fraction(0), outer, radicand)
+        return cls(Fraction(0), Fraction(1, value.denominator), value.numerator * value.denominator)
 
     @property
     def is_rational(self) -> bool:
@@ -313,21 +222,28 @@ class QuadraticSurd:
             return QuadraticSurd.from_rational(value)
         return None
 
-    def _shared_radicand(self, other: "QuadraticSurd") -> int:
+    def _other_coeff(self, other: "QuadraticSurd") -> tuple[Fraction, int]:
+        """other's irrational coefficient over the radical the two share,
+        and that radicand: self's, unless self is rational."""
         if self.is_rational:
-            return other.radicand
-        if other.is_rational or other.radicand == self.radicand:
-            return self.radicand
-        raise IncompatibleRadicandsError(
-            f"cannot combine sqrt({self.radicand}) with sqrt({other.radicand})"
-        )
+            return other.coeff, other.radicand
+        if other.radicand in (1, self.radicand):
+            return other.coeff, self.radicand
+        # sqrt(e) = sqrt(d*e) / d * sqrt(d), rational exactly when d*e is a square.
+        product = self.radicand * other.radicand
+        root = math.isqrt(product)
+        if root * root != product:
+            raise IncompatibleRadicandsError(
+                f"cannot combine sqrt({self.radicand}) with sqrt({other.radicand})"
+            )
+        return other.coeff * Fraction(root, self.radicand), self.radicand
 
     def __add__(self, other: object) -> "QuadraticSurd":
         lifted = self._lift(other)
         if lifted is None:
             return NotImplemented
-        radicand = self._shared_radicand(lifted)
-        return QuadraticSurd(self.rat + lifted.rat, self.coeff + lifted.coeff, radicand)
+        coeff, radicand = self._other_coeff(lifted)
+        return QuadraticSurd(self.rat + lifted.rat, self.coeff + coeff, radicand)
 
     __radd__ = __add__
 
@@ -350,27 +266,26 @@ class QuadraticSurd:
         lifted = self._lift(other)
         if lifted is None:
             return NotImplemented
-        radicand = self._shared_radicand(lifted)
-        rat = self.rat * lifted.rat + self.coeff * lifted.coeff * radicand
-        coeff = self.rat * lifted.coeff + self.coeff * lifted.rat
-        return QuadraticSurd(rat, coeff, radicand)
+        coeff, radicand = self._other_coeff(lifted)
+        rat = self.rat * lifted.rat + self.coeff * coeff * radicand
+        return QuadraticSurd(rat, self.rat * coeff + self.coeff * lifted.rat, radicand)
 
     __rmul__ = __mul__
+
+    def _key(self) -> tuple[Fraction, bool, Fraction]:
+        # c*sqrt(d) is fixed by the sign of c and by c*c*d.
+        return self.rat, self.coeff > 0, self.coeff * self.coeff * self.radicand
 
     def __eq__(self, other: object) -> bool:
         lifted = self._lift(other)
         if lifted is None:
             return NotImplemented
-        return (self.rat, self.coeff, self.radicand) == (
-            lifted.rat,
-            lifted.coeff,
-            lifted.radicand,
-        )
+        return self._key() == lifted._key()
 
     def __hash__(self) -> int:
         if self.is_rational:
             return hash(self.rat)
-        return hash((self.rat, self.coeff, self.radicand))
+        return hash(self._key())
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -418,6 +333,37 @@ def ultrametric_distance(a: DigitString, b: DigitString) -> Fraction:
         if da != db:
             return Fraction(1, a.base**position)
     return Fraction(0)
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to every base in _MR_BASES (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    # Miller-Rabin with the prime bases 2..41: certain for n < _MR_BOUND,
+    # only probable at or above it.
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _int_valuation(n: int, p: int) -> int:

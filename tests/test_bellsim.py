@@ -246,6 +246,16 @@ def test_ensemble_rejects_malformed_columns():
         BellEnsemble(("x", "y"), ({},), ({},), 1, 2)
 
 
+def test_ensemble_validation_names_the_first_malformed_atom():
+    good = ("good", {C00: (1, 1), C11: (-1, 1)}, {C00: Fraction(1, 2), C11: Fraction(1, 2)})
+    with pytest.raises(ValueError, match=r"^bad: outcomes must be \+1 or -1"):
+        BellEnsemble.from_atoms([good, ("bad", {C00: (1, 0)}, {C00: 1}), good], 2)
+    with pytest.raises(ValueError, match="^bad: weights must be nonnegative integers"):
+        BellEnsemble(
+            ("good", "bad"), ({C00: (1, 1)}, {C11: (1, 1)}), ({C00: 1}, {C11: 1.0}), 2, 2
+        )
+
+
 # --- verifier edge cases ----------------------------------------------------------
 
 

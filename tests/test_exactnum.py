@@ -22,7 +22,6 @@ from exactbell.exactnum import (
     padic_valuation,
     parse_rational,
     ultrametric_distance,
-    _square_free_decompose,
 )
 
 from oracles import classify_cosine_by_minimal_polynomial
@@ -129,6 +128,8 @@ def test_niven_rational_values_match_float_cosine():
 
 # --- perfect squares and surds ----------------------------------------------
 
+small_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
 
 def test_is_perfect_square_examples():
     assert is_perfect_square(Fraction(72, 100)) is None
@@ -138,14 +139,42 @@ def test_is_perfect_square_examples():
         is_perfect_square(Fraction(-1))
 
 
-def test_square_free_decomposition():
-    assert _square_free_decompose(1) == (1, 1)
-    assert _square_free_decompose(8) == (2, 2)
-    assert _square_free_decompose(72) == (6, 2)
-    assert _square_free_decompose(49) == (7, 1)
-    # cofactor beyond the trial-division bound, split by rho
+def test_square_factors_of_the_radicand_leave_the_value_unchanged():
+    assert QuadraticSurd(0, 1, 1) == 1
+    assert QuadraticSurd(0, 1, 8) == QuadraticSurd(0, 2, 2)
+    assert QuadraticSurd(0, 1, 72) == QuadraticSurd(0, 6, 2)
+    assert QuadraticSurd(0, 1, 49) == 7
+    assert QuadraticSurd(0, 1, 49).is_rational
+    # p and q are primes above 10**6
     p, q = 1_000_003, 1_000_033
-    assert _square_free_decompose(p * p * q) == (p, q)
+    assert QuadraticSurd(0, 1, p * p * q) == QuadraticSurd(0, p, q)
+    assert QuadraticSurd(0, 1, p * p * q) != QuadraticSurd(0, -p, q)
+    assert QuadraticSurd(0, 1, p * p * q) != QuadraticSurd(0, p, p * q)
+    assert QuadraticSurd(0, 1, p * p * q * q).rat == p * q
+
+
+@given(
+    small_rationals,
+    small_rationals.filter(bool),
+    st.integers(min_value=1, max_value=10**12),
+    st.integers(min_value=2, max_value=40),
+)
+def test_square_factor_variants_are_equal_and_hash_equal(a, c, k, d):
+    surd = QuadraticSurd(a, c, k * k * d)
+    variant = QuadraticSurd(a, c * k, d)
+    assert surd == variant
+    assert hash(surd) == hash(variant)
+    assert surd.is_rational is variant.is_rational
+    assert surd - variant == 0
+
+
+def test_radicands_of_one_field_combine():
+    root8, root2 = QuadraticSurd(0, 1, 8), QuadraticSurd(0, 1, 2)
+    assert root8 + root2 == QuadraticSurd(0, 3, 2)
+    assert root2 + root8 == QuadraticSurd(0, 3, 2)
+    assert root8 * root2 == 4
+    assert root8 - 2 * root2 == 0
+    assert QuadraticSurd(0, 1, 18) * QuadraticSurd(1, 1, 8) == QuadraticSurd(12, 3, 2)
 
 
 def test_surd_canonical_form():
@@ -173,9 +202,6 @@ def test_surd_mixed_radicands_rejected():
         QuadraticSurd(0, 1, 2) * QuadraticSurd(0, 1, 3)
     with pytest.raises(IncompatibleRadicandsError):
         QuadraticSurd(0, 1, 2) + QuadraticSurd(0, 1, 5)
-
-
-small_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 
 
 @given(small_rationals, small_rationals)

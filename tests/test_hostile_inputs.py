@@ -3,11 +3,13 @@ wall-clock bound."""
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import exactbell
@@ -15,13 +17,16 @@ import exactbell
 SRC = str(Path(exactbell.__file__).resolve().parents[1])
 
 
-def _run(*argv):
+def _run(*argv, timeout=60):
+    # A regression that makes an input hang fails with TimeoutExpired
+    # instead of stalling the suite.
     start = time.perf_counter()
     result = subprocess.run(
         [sys.executable, "-m", "exactbell.cli", *argv],
         env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return result, time.perf_counter() - start
 
@@ -38,4 +43,45 @@ def test_long_sweep_list_is_fast():
     assert len(lines) == 2001
     assert lines[0] == "N,n,S_num,S_den,S_decimal,gap_to_tsirelson"
     assert [int(line.split(",")[0]) for line in lines[1:]] == values
+    assert elapsed < 5.0, f"{elapsed:.2f}s"
+
+
+def test_counterfactual_on_a_40_digit_semiprime_is_fast():
+    # q - p = 1 and q + p = P1 * P2, two 20-digit primes, so 1 - (p/q)^2 is
+    # P1 * P2 / q^2: irrational, and factoring P1 * P2 would take hours.
+    first, second = 10000000000000000051, 10000000000000000087
+    assert pow(2, first - 1, first) == 1 and pow(2, second - 1, second) == 1
+    p = (first * second - 1) // 2
+    result, elapsed = _run(
+        "counterfactual", "--cos-a", f"{p}/{p + 1}", "--cos-b", "0", "--gamma", "0"
+    )
+    assert result.returncode == 0, result.stderr
+    assert '"value": "irrational"' in result.stdout
+    assert '"ontic": false' in result.stdout
+    assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
+def test_counterfactual_on_a_40_digit_pythagorean_cosine_is_exact():
+    # cos a = (m^2 - n^2)/(m^2 + n^2) has sin a = 2mn/(m^2 + n^2), so with
+    # cos b = 0 and gamma = 0 the counterfactual cosine is sin a exactly.
+    m, n = 73018075240929185219, 12345678901234567891
+    cos_a = Fraction(m * m - n * n, m * m + n * n)
+    result, elapsed = _run(
+        "counterfactual", "--cos-a", str(cos_a), "--cos-b", "0", "--gamma", "0"
+    )
+    assert result.returncode == 0, result.stderr
+    assert f'"value": "{Fraction(2 * m * n, m * m + n * n)}"' in result.stdout
+    assert '"ontic": true' in result.stdout
+    assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
+def test_million_bit_expansion_is_fast():
+    count = 10**6
+    result, elapsed = _run("bits", "--from-seed", "1/1000003", "--count", str(count))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    # The first `count` bits of 1/q are floor(2**count / q) in binary; the
+    # orbit of 1/1000003 does not recur within them.
+    assert report["bits"] == format((1 << count) // 1000003, f"0{count}b")
+    assert report["period"] is None
     assert elapsed < 5.0, f"{elapsed:.2f}s"
