@@ -132,7 +132,7 @@ def rational_cos_approx(target_square: Fraction | int | str, sign: int, N: int) 
     else:
         # lower/N <= sqrt(t) < (lower+1)/N; the midpoint test on squares
         # picks the closer endpoint, with ties going to the smaller n.
-        if 4 * target_square <= Fraction((2 * lower + 1) ** 2, N * N):
+        if 4 * p * N * N <= (2 * lower + 1) ** 2 * q:
             best = lower
         else:
             best = lower + 1

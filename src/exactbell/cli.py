@@ -71,6 +71,11 @@ from .ontology import (
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
 
+# Longest bit or label string a subcommand renders (`bits --count`, and N
+# for `validate --qubit`): output is held in memory, so longer requests
+# are refused with exit 2 instead of exhausting it.
+MAX_SEQUENCE_LENGTH = 10**7
+
 # Where each library operation surfaces on the command line. The chsh
 # report embeds the verifiers, the classical bound and (on request) the
 # floating-point oracle; the counterfactual report embeds the context
@@ -138,10 +143,9 @@ def _int_list_arg(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated integer list") from exc
 
 
-def _bits_arg(text: str) -> BitString:
-    if not text or set(text) - {"0", "1"}:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a string over 0/1")
-    return BitString(tuple(int(ch) for ch in text))
+def _check_length(flag: str, length: int) -> None:
+    if length > MAX_SEQUENCE_LENGTH:
+        raise ValueError(f"{flag} {length} is over the length cap {MAX_SEQUENCE_LENGTH}")
 
 
 @functools.cache
@@ -221,7 +225,7 @@ def build_parser() -> _Parser:
     p = commands.add_parser("bits", parents=[common], help="doubling-map bit strings")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--from-seed", type=_rational_arg, help="rational seed in [0, 1)")
-    group.add_argument("--to-seed", type=_bits_arg, help="bit string to read back into a seed")
+    group.add_argument("--to-seed", type=BitString, help="bit string to read back into a seed")
     p.add_argument("--count", type=int, help="number of bits to generate (with --from-seed)")
     p.add_argument(
         "--periodic",
@@ -391,6 +395,7 @@ def cmd_bits(args: argparse.Namespace) -> dict:
     if args.from_seed is not None:
         if args.count is None:
             raise UsageError("--from-seed needs --count")
+        _check_length("--count", args.count)
         result = generate_bits(args.from_seed, args.count)
         return {
             "seed": format_rational(args.from_seed),
@@ -453,11 +458,14 @@ def cmd_validate(args: argparse.Namespace) -> dict:
             data = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ValueError(f"state file is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ValueError("state file nests too deeply to parse") from exc
         state = state_from_dict(data)
         violations = validate_finite_state(state)
         return {"valid": not violations, "violations": violations}
     if args.cos_theta is None or args.N is None:
         raise UsageError("--qubit needs --cos-theta and --N (and optionally --phi)")
+    _check_length("--N", args.N)
     qubit = make_finite_qubit(args.cos_theta, args.phi, args.N)
     state = qubit.to_state()
     violations = validate_finite_state(state)
@@ -469,7 +477,7 @@ def cmd_validate(args: argparse.Namespace) -> dict:
         "state": state_to_dict(state),
         "valid": not violations,
         "violations": violations,
-        "helix_labels": "".join(str(label) for label in strands.labels),
+        "helix_labels": "0" * strands.n1 + "1" * (strands.N - strands.n1),
         "fraction_zero": format_rational(fraction_zero),
         "fraction_one": format_rational(fraction_one),
     }

@@ -19,22 +19,18 @@ __all__ = ["BitString", "generate_bits", "seed_from_bits"]
 
 @dataclass(frozen=True)
 class BitString:
-    """Finite sequence over {0, 1}; ``period`` records the cycle length of
-    the generating orbit when one was observed."""
+    """Finite sequence over {0, 1}, held as its text; ``period`` records
+    the cycle length of the generating orbit when one was observed."""
 
-    bits: tuple[int, ...]
+    bits: str
     period: int | None = None
 
     def __post_init__(self) -> None:
-        bits = tuple(self.bits)
-        if not bits:
-            raise ValueError("bit string must be non-empty")
-        if any(bit not in (0, 1) for bit in bits):
-            raise ValueError("bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        if not isinstance(self.bits, str) or not self.bits or self.bits.strip("01"):
+            raise ValueError(f"{self.bits!r} is not a non-empty string over 0/1")
 
     def __str__(self) -> str:
-        return "".join(str(bit) for bit in self.bits)
+        return self.bits
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -43,12 +39,13 @@ class BitString:
 def generate_bits(r0: Fraction | int | str, n: int) -> BitString:
     """First n bits of the binary expansion of r0 via the doubling map.
 
-    Each step emits floor(2r) and keeps the remainder, run exactly on the
-    integer numerator r of r0 = r/den in lowest terms. Rational orbits are
-    eventually periodic; the first state recurrence fixes ``period``. With
-    den = 2**tail * odd, the first ``tail`` states have distinct even
-    reduced denominators and doubling permutes the rest, so the first
-    state to recur is the one at step ``tail``.
+    With r0 = r/den in lowest terms, n doubling steps emit the binary digits
+    of floor(r * 2**n / den), computed in one integer division. Rational
+    orbits are eventually periodic; the first state recurrence fixes
+    ``period``. With den = 2**tail * odd, the first ``tail`` states have
+    distinct even reduced denominators and doubling permutes the rest, so
+    the first state to recur is the one at step ``tail``, and it recurs
+    when 2**period = 1 modulo odd.
     """
     r0 = as_rational(r0)
     if not 0 <= r0 < 1:
@@ -56,22 +53,19 @@ def generate_bits(r0: Fraction | int | str, n: int) -> BitString:
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     r, den = r0.numerator, r0.denominator
+    bits = format((r << n) // den, f"0{n}b")
     tail = (den & -den).bit_length() - 1
-    anchor = r
-    bits = []
+    odd = den >> tail
+    unit = power = 1 % odd  # 2**0 modulo odd; 0 when den is a power of two
     period = None
-    for step in range(1, n + 1):
-        r <<= 1
-        if r >= den:
-            r -= den
-            bits.append(1)
-        else:
-            bits.append(0)
-        if step <= tail:
-            anchor = r
-        elif period is None and r == anchor:
-            period = step - tail
-    return BitString(tuple(bits), period)
+    for step in range(1, n - tail + 1):
+        power <<= 1
+        if power >= odd:
+            power -= odd
+        if power == unit:
+            period = step
+            break
+    return BitString(bits, period)
 
 
 def seed_from_bits(bits: BitString, periodic: bool = False) -> Fraction:
@@ -82,9 +76,7 @@ def seed_from_bits(bits: BitString, periodic: bool = False) -> Fraction:
     generate_bits at the same length; the periodic reading divides by
     2**len - 1 instead, treating the whole string as one repeating block.
     """
-    value = 0
-    for bit in bits.bits:
-        value = 2 * value + bit
+    value = int(bits.bits, 2)
     if periodic:
         return Fraction(value, 2 ** len(bits) - 1)
     return Fraction(value, 2 ** len(bits))

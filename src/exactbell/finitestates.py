@@ -192,19 +192,17 @@ def superpose_classify(phi1: RationalAngle, phi2: RationalAngle) -> Superpositio
 
 @dataclass(frozen=True)
 class HelixEnsemble:
-    """N equally weighted trajectory strands, each labelled by the basis
-    cluster (0 or 1) it evolves into."""
+    """N equally weighted trajectory strands, n1 of them labelled by basis
+    cluster 0 and the rest by cluster 1, held as the two counts."""
 
     N: int
-    labels: tuple[int, ...]
+    n1: int
 
     def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        if len(labels) != self.N:
-            raise ValueError(f"expected {self.N} labels, got {len(labels)}")
-        if any(label not in (0, 1) for label in labels):
-            raise ValueError("labels must be 0 or 1")
-        object.__setattr__(self, "labels", labels)
+        if not isinstance(self.N, int) or self.N < 1:
+            raise ValueError(f"N = {self.N!r} must be a positive integer")
+        if not isinstance(self.n1, int) or not 0 <= self.n1 <= self.N:
+            raise ValueError(f"n1 = {self.n1!r} must be an integer in [0, {self.N}]")
 
     @property
     def strand_weight(self) -> Fraction:
@@ -213,15 +211,13 @@ class HelixEnsemble:
 
 def helix_ensemble(qubit: FiniteQubit) -> HelixEnsemble:
     """Expand a qubit into its strand ensemble: exactly n1 zero-labelled
-    strands out of N, zeros first so output is reproducible."""
-    n1 = qubit.n1
-    return HelixEnsemble(qubit.N, (0,) * n1 + (1,) * (qubit.N - n1))
+    strands out of N."""
+    return HelixEnsemble(qubit.N, qubit.n1)
 
 
 def ensemble_statistics(ensemble: HelixEnsemble) -> tuple[Fraction, Fraction]:
-    """Exact label fractions (count0/N, count1/N); they sum to 1."""
-    zeros = sum(1 for label in ensemble.labels if label == 0)
-    return Fraction(zeros, ensemble.N), Fraction(ensemble.N - zeros, ensemble.N)
+    """Exact label fractions (n1/N, (N - n1)/N); they sum to 1."""
+    return Fraction(ensemble.n1, ensemble.N), Fraction(ensemble.N - ensemble.n1, ensemble.N)
 
 
 def state_to_dict(state: FiniteHilbertState) -> dict:
@@ -245,7 +241,7 @@ def state_from_dict(data: dict) -> FiniteHilbertState:
         raw_amps = data["amps"]
     except (TypeError, KeyError) as exc:
         raise ValueError("state object needs keys 'N' and 'amps'") from exc
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"'N' must be an integer, got {n!r}")
     if not isinstance(raw_amps, list):
         raise ValueError("'amps' must be a list")
@@ -256,7 +252,7 @@ def state_from_dict(data: dict) -> FiniteHilbertState:
             phase_text = entry["phase_turns"]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"amps[{index}] needs keys 'm' and 'phase_turns'") from exc
-        if not isinstance(m, int):
+        if not isinstance(m, int) or isinstance(m, bool):
             raise ValueError(f"amps[{index}].m must be an integer, got {m!r}")
         amps.append(Amplitude(m, RationalAngle(parse_rational(str(phase_text)))))
     return FiniteHilbertState(n, tuple(amps))

@@ -169,7 +169,7 @@ def test_criterion_7_bit_string_round_trip():
     ok = True
     cases = 0
     for length in range(1, 13):
-        for bits in product((0, 1), repeat=length):
+        for bits in map("".join, product("01", repeat=length)):
             string = BitString(bits)
             ok &= generate_bits(seed_from_bits(string), length).bits == bits
             cases += 1

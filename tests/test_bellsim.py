@@ -78,6 +78,28 @@ def test_rational_cos_approx_is_nearest(square, sign, N):
     assert high >= 0 and high * high >= target_sq
 
 
+def _nearest_grid_numerator(square: Fraction, N: int) -> int:
+    # Scan n = 0..N: n is strictly closer to sqrt(square) than a smaller
+    # best exactly when sqrt(square) lies past their midpoint.
+    best = 0
+    for n in range(1, N + 1):
+        if square > Fraction(best + n, 2 * N) ** 2:
+            best = n
+    return best
+
+
+def test_rational_cos_approx_matches_brute_force_nearest():
+    # 1/16, 9/16 and 25/36 put sqrt(square) on grid midpoints for some N.
+    squares = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(1, 3),
+               Fraction(1, 16), Fraction(9, 16), Fraction(25, 36), Fraction(2, 9),
+               Fraction(999, 1000)]
+    for N in range(2, 201):
+        for square in squares:
+            best = _nearest_grid_numerator(square, N)
+            for sign in (1, -1):
+                assert rational_cos_approx(square, sign, N) == Fraction(sign * best, N)
+
+
 # --- settings ------------------------------------------------------------------
 
 

@@ -139,13 +139,14 @@ def test_superpose_finite_set_matches_enumeration():
 def test_helix_labels_zeros_first():
     qubit = make_finite_qubit(Fraction(1, 2), _angle(0), 4)
     strands = helix_ensemble(qubit)
-    assert strands.labels == (0, 0, 0, 1)
+    assert (strands.N, strands.n1) == (4, 3)
     assert strands.strand_weight == Fraction(1, 4)
 
 
 def test_helix_pole_all_zeros():
     qubit = make_finite_qubit(Fraction(1), _angle(0), 4)
-    assert helix_ensemble(qubit).labels == (0, 0, 0, 0)
+    strands = helix_ensemble(qubit)
+    assert (strands.N, strands.n1) == (4, 4)
 
 
 def test_ensemble_statistics_round_trip():
@@ -184,3 +185,13 @@ def test_state_from_dict_rejects_malformed():
         state_from_dict({"N": 2, "amps": [{"m": 1}]})
     with pytest.raises(ValueError):
         state_from_dict({"N": 2, "amps": [{"m": 1, "phase_turns": "0.5"}]})
+
+
+def test_state_from_dict_rejects_booleans():
+    # bool is an int subclass; JSON true must not read as 1.
+    amps = [{"m": 1, "phase_turns": "0"}, {"m": 1, "phase_turns": "1/2"}]
+    with pytest.raises(ValueError, match="'N' must be an integer, got True"):
+        state_from_dict({"N": True, "amps": amps})
+    with pytest.raises(ValueError, match=r"amps\[0\]\.m must be an integer, got True"):
+        state_from_dict({"N": 2, "amps": [{"m": True, "phase_turns": "0"}, amps[1]]})
+    assert state_from_dict({"N": 2, "amps": amps}).amps[0].m == 1

@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import exactbell
+from exactbell import cli
 
 SRC = str(Path(exactbell.__file__).resolve().parents[1])
 
@@ -85,3 +86,50 @@ def test_million_bit_expansion_is_fast():
     assert report["bits"] == format((1 << count) // 1000003, f"0{count}b")
     assert report["period"] is None
     assert elapsed < 5.0, f"{elapsed:.2f}s"
+
+
+CAP = cli.MAX_SEQUENCE_LENGTH
+
+
+def test_bits_count_at_the_cap_runs_and_one_over_is_refused():
+    # 10**30 + 57 is odd and 2 has order above the cap modulo it, so the
+    # period search runs its full length.
+    denominator = 10**30 + 57
+    result, elapsed = _run("bits", "--from-seed", f"1/{denominator}", "--count", str(CAP))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["bits"] == format((1 << CAP) // denominator, f"0{CAP}b")
+    assert report["period"] is None
+    assert elapsed < 10.0, f"{elapsed:.2f}s"
+
+    for count in (CAP + 1, 99999999999):
+        result, elapsed = _run("bits", "--from-seed", "1/3", "--count", str(count))
+        assert result.returncode == 2
+        assert f"length cap {CAP}" in result.stderr and "Traceback" not in result.stderr
+        assert result.stdout == ""
+        assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
+def test_qubit_helix_at_the_cap_runs_and_one_over_is_refused():
+    result, elapsed = _run("validate", "--qubit", "--cos-theta", "0", "--N", str(CAP))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["helix_labels"] == "0" * (CAP // 2) + "1" * (CAP // 2)
+    assert report["n1"] == CAP // 2
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+    for n_value in (CAP + 1, 10**12):
+        result, elapsed = _run("validate", "--qubit", "--cos-theta", "0", "--N", str(n_value))
+        assert result.returncode == 2
+        assert f"length cap {CAP}" in result.stderr and "Traceback" not in result.stderr
+        assert result.stdout == ""
+        assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
+def test_deeply_nested_state_file_is_a_domain_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    result, elapsed = _run("validate", "--state", str(path))
+    assert result.returncode == 2
+    assert "nests too deeply" in result.stderr and "Traceback" not in result.stderr
+    assert elapsed < 2.0, f"{elapsed:.2f}s"
