@@ -22,13 +22,12 @@ reported value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .exactnum import as_rational, format_rational
+from .exactnum import _Frozen, as_rational, format_rational
 from .ontology import ContextPair
 
 __all__ = [
@@ -139,29 +138,32 @@ def rational_cos_approx(target_square: Fraction | int | str, sign: int, N: int) 
     return Fraction(sign * best, N)
 
 
-@dataclass(frozen=True)
-class MeasurementSettings:
+class MeasurementSettings(_Frozen):
     """Four per-context target cosines, each on the 1/N grid."""
 
-    cos00: Fraction
-    cos01: Fraction
-    cos10: Fraction
-    cos11: Fraction
-    N: int
+    __slots__ = ("cos00", "cos01", "cos10", "cos11", "N")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.N, int) or self.N < 2:
-            raise ValueError(f"N = {self.N!r} must be an integer >= 2")
-        for name in ("cos00", "cos01", "cos10", "cos11"):
-            value = as_rational(getattr(self, name))
-            object.__setattr__(self, name, value)
+    def __init__(
+        self,
+        cos00: Fraction | int | str,
+        cos01: Fraction | int | str,
+        cos10: Fraction | int | str,
+        cos11: Fraction | int | str,
+        N: int,
+    ) -> None:
+        if not isinstance(N, int) or N < 2:
+            raise ValueError(f"N = {N!r} must be an integer >= 2")
+        for name, value in zip(self.__slots__, (cos00, cos01, cos10, cos11)):
+            value = as_rational(value)
             if not -1 <= value <= 1:
                 raise ValueError(f"{name} = {format_rational(value)} outside [-1, 1]")
-            if self.N % value.denominator:
+            if N % value.denominator:
                 raise ValueError(
                     f"{name} = {format_rational(value)} has denominator"
-                    f" {value.denominator}, which does not divide N = {self.N}"
+                    f" {value.denominator}, which does not divide N = {N}"
                 )
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "N", N)
 
     def cosine(self, context: ContextPair) -> Fraction:
         lookup = {
@@ -181,8 +183,7 @@ def tsirelson_settings(N: int) -> MeasurementSettings:
     return MeasurementSettings(approx, approx, approx, -approx, N)
 
 
-@dataclass(frozen=True)
-class BellEnsemble:
+class BellEnsemble(_Frozen):
     """Weighted sample space with per-context partial outcome tables.
 
     Atom i is ``labels[i]``. It is defined in the contexts of
@@ -190,13 +191,18 @@ class BellEnsemble:
     ``weights[i][context] / denominator`` in each of them.
     """
 
-    labels: tuple[str, ...]
-    outcomes: tuple[Mapping[ContextPair, tuple[int, int]], ...]
-    weights: tuple[Mapping[ContextPair, int], ...]
-    denominator: int
-    N: int
+    __slots__ = ("labels", "outcomes", "weights", "denominator", "N")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        outcomes: tuple[Mapping[ContextPair, tuple[int, int]], ...],
+        weights: tuple[Mapping[ContextPair, int], ...],
+        denominator: int,
+        N: int,
+    ) -> None:
+        for name, value in zip(self.__slots__, (labels, outcomes, weights, denominator, N)):
+            object.__setattr__(self, name, value)
         if not isinstance(self.denominator, int) or self.denominator <= 0:
             raise ValueError(f"denominator {self.denominator!r} must be a positive integer")
         if len(self.labels) == len(self.outcomes) == len(self.weights) and _well_formed(
@@ -246,8 +252,7 @@ def _well_formed(outcomes: tuple[Mapping, ...], weights: tuple[Mapping, ...]) ->
     )
 
 
-@dataclass(frozen=True)
-class ChshReport:
+class ChshReport(NamedTuple):
     """Exact per-context correlations and marginals plus the CHSH combination
     S = E00 + E01 + E10 - E11."""
 
@@ -427,8 +432,7 @@ def classical_chsh_max() -> Fraction:
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
-@dataclass(frozen=True)
-class SpinOracleResult:
+class SpinOracleResult(NamedTuple):
     """Floating-point spin operators (2x2 row tuples), their closed-form
     eigenpairs, and singlet expectations for the measurement triangle."""
 

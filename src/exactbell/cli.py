@@ -15,14 +15,12 @@ Conventions enforced here:
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import math
 import re
 import sys
-from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
@@ -414,7 +412,10 @@ def cmd_bits(args: argparse.Namespace) -> dict:
 def cmd_padic(args: argparse.Namespace) -> dict:
     if args.valuation is not None:
         value_text, prime_text = args.valuation
-        value = parse_rational(value_text)
+        try:
+            value = parse_rational(value_text)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         try:
             prime = int(prime_text)
         except ValueError as exc:
@@ -567,6 +568,8 @@ def _render(payload: dict, fmt: str, meta: dict | None) -> str:
     if meta:
         prelude = "".join(f"# {key}={value}\n" for key, value in meta.items())
     if fmt == "csv":
+        import csv
+
         buffer = io.StringIO()
         rows = payload.get("rows")
         if isinstance(rows, list) and rows:
@@ -607,6 +610,8 @@ def main(argv: list[str] | None = None) -> int:
         return DOMAIN_EXIT
     meta = None
     if args.meta:
+        from datetime import datetime, timezone
+
         meta = {
             "tool": f"exactbell {__version__}",
             "generated_at": datetime.now(timezone.utc).isoformat(),

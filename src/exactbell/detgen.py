@@ -9,25 +9,24 @@ directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import as_rational
+from .exactnum import _Frozen, as_rational
 
 __all__ = ["BitString", "generate_bits", "seed_from_bits"]
 
 
-@dataclass(frozen=True)
-class BitString:
+class BitString(_Frozen):
     """Finite sequence over {0, 1}, held as its text; ``period`` records
     the cycle length of the generating orbit when one was observed."""
 
-    bits: str
-    period: int | None = None
+    __slots__ = ("bits", "period")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.bits, str) or not self.bits or self.bits.strip("01"):
-            raise ValueError(f"{self.bits!r} is not a non-empty string over 0/1")
+    def __init__(self, bits: str, period: int | None = None) -> None:
+        if not isinstance(bits, str) or not bits or bits.strip("01"):
+            raise ValueError(f"{bits!r} is not a non-empty string over 0/1")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "period", period)
 
     def __str__(self) -> str:
         return self.bits

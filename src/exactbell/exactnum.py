@@ -9,8 +9,8 @@ ever touches floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "Rational",
@@ -70,8 +70,40 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class RationalAngle:
+class _Frozen:
+    """Base of the immutable value types. Fields are the ``__slots__``,
+    set once in ``__init__`` through ``object.__setattr__``; ``==``,
+    ``hash`` and ``repr`` follow them in order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable value")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable value")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # Rebuild through __init__, which accepts every normalized field.
+        return type(self), self._fields()
+
+
+class RationalAngle(_Frozen):
     """An angle stored exactly as a fraction of a full turn, in [0, 1).
 
     Keeping the turn fraction as the representation makes "the angle is a
@@ -79,10 +111,10 @@ class RationalAngle:
     to test, and radians never enter the arithmetic.
     """
 
-    turns: Fraction
+    __slots__ = ("turns",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "turns", as_rational(self.turns) % 1)
+    def __init__(self, turns: Fraction | int | str) -> None:
+        object.__setattr__(self, "turns", as_rational(turns) % 1)
 
     def __add__(self, other: "RationalAngle") -> "RationalAngle":
         return RationalAngle(self.turns + other.turns)
@@ -102,8 +134,7 @@ class RationalAngle:
         return 1 if self.turns < quarter or self.turns > 3 * quarter else -1
 
 
-@dataclass(frozen=True)
-class CosineClass:
+class CosineClass(NamedTuple):
     """Exact rationality classification of a cosine: a value, or irrational.
 
     ``value`` is None exactly when the cosine is irrational.
@@ -161,8 +192,7 @@ class IncompatibleRadicandsError(ValueError):
     """Raised when surds from different quadratic fields would need to combine."""
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticSurd:
+class QuadraticSurd(_Frozen):
     """Exact value rat + coeff*sqrt(radicand) over a single radical.
 
     The radicand need not be square-free, but it is 1 exactly when the
@@ -174,14 +204,11 @@ class QuadraticSurd:
     fields are refused rather than approximated.
     """
 
-    rat: Fraction
-    coeff: Fraction
-    radicand: int = 1
+    __slots__ = ("rat", "coeff", "radicand")
 
-    def __post_init__(self) -> None:
-        rat = as_rational(self.rat)
-        coeff = as_rational(self.coeff)
-        radicand = self.radicand
+    def __init__(self, rat: Fraction | int, coeff: Fraction | int, radicand: int = 1) -> None:
+        rat = as_rational(rat)
+        coeff = as_rational(coeff)
         if not isinstance(radicand, int) or radicand < 1:
             raise ValueError("radicand must be a natural number >= 1")
         if coeff:
@@ -293,23 +320,22 @@ class QuadraticSurd:
         return f"{format_rational(self.rat)} + {format_rational(self.coeff)}*sqrt({self.radicand})"
 
 
-@dataclass(frozen=True)
-class DigitString:
+class DigitString(_Frozen):
     """Finite base-N digit sequence: a coordinate inside an N-piece nested
     (Cantor-like) partition of state space."""
 
-    base: int
-    digits: tuple[int, ...]
+    __slots__ = ("base", "digits")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.base, int) or self.base < 2:
+    def __init__(self, base: int, digits: tuple[int, ...]) -> None:
+        if not isinstance(base, int) or base < 2:
             raise ValueError("base must be an integer >= 2")
-        digits = tuple(self.digits)
+        digits = tuple(digits)
         if not digits:
             raise ValueError("digit string must be non-empty")
         for d in digits:
-            if not isinstance(d, int) or not 0 <= d < self.base:
-                raise ValueError(f"digit {d!r} outside [0, {self.base})")
+            if not isinstance(d, int) or not 0 <= d < base:
+                raise ValueError(f"digit {d!r} outside [0, {base})")
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "digits", digits)
 
     def __len__(self) -> int:

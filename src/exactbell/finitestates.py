@@ -9,12 +9,13 @@ floating-point test oracles, never here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import (
     CosineClass,
     RationalAngle,
+    _Frozen,
     as_rational,
     format_rational,
     niven_classify,
@@ -42,37 +43,36 @@ class AdmissibilityError(ValueError):
     """A state fails one of the whole-number admissibility conditions."""
 
 
-@dataclass(frozen=True)
-class Amplitude:
+class Amplitude(_Frozen):
     """One basis amplitude: squared modulus m/N plus an exact phase.
 
     The phase of an absent component (m = 0) is physically meaningless and
     is normalized to zero so that equality stays structural.
     """
 
-    m: int
-    phase: RationalAngle
+    __slots__ = ("m", "phase")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 0:
-            raise ValueError(f"squared-modulus count m = {self.m!r} must be a natural number")
-        if self.m == 0 and self.phase.turns != 0:
-            object.__setattr__(self, "phase", RationalAngle(Fraction(0)))
+    def __init__(self, m: int, phase: RationalAngle) -> None:
+        if not isinstance(m, int) or m < 0:
+            raise ValueError(f"squared-modulus count m = {m!r} must be a natural number")
+        if m == 0 and phase.turns != 0:
+            phase = RationalAngle(Fraction(0))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "phase", phase)
 
 
-@dataclass(frozen=True)
-class FiniteHilbertState:
+class FiniteHilbertState(_Frozen):
     """Basis expansion with integer squared-modulus counts out of N.
 
     Deliberately permissive on construction: run validate_finite_state to
     obtain precise diagnostics instead of a constructor exception.
     """
 
-    N: int
-    amps: tuple[Amplitude, ...]
+    __slots__ = ("N", "amps")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amps", tuple(self.amps))
+    def __init__(self, N: int, amps: tuple[Amplitude, ...]) -> None:
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "amps", tuple(amps))
 
 
 def validate_finite_state(state: FiniteHilbertState) -> list[str]:
@@ -98,33 +98,32 @@ def validate_finite_state(state: FiniteHilbertState) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class FiniteQubit:
+class FiniteQubit(_Frozen):
     """A single qubit whose polar cosine and azimuthal phase both live on
     the 1/N grid, so that it owns an exact N-strand ensemble picture."""
 
-    cos_theta: Fraction
-    phi: RationalAngle
-    N: int
+    __slots__ = ("cos_theta", "phi", "N")
 
-    def __post_init__(self) -> None:
-        cos_theta = as_rational(self.cos_theta)
-        object.__setattr__(self, "cos_theta", cos_theta)
-        if not isinstance(self.N, int) or self.N < 2:
-            raise ValueError(f"N = {self.N!r} must be an integer >= 2")
+    def __init__(self, cos_theta: Fraction | int | str, phi: RationalAngle, N: int) -> None:
+        cos_theta = as_rational(cos_theta)
+        if not isinstance(N, int) or N < 2:
+            raise ValueError(f"N = {N!r} must be an integer >= 2")
         if not -1 <= cos_theta <= 1:
             raise ValueError(f"cos(theta) = {format_rational(cos_theta)} outside [-1, 1]")
         weight = (1 + cos_theta) / 2
-        if (weight * self.N).denominator != 1:
+        if (weight * N).denominator != 1:
             raise AdmissibilityError(
                 f"(1 + cos(theta))/2 = {format_rational(weight)} is not an integer"
-                f" multiple of 1/{self.N}"
+                f" multiple of 1/{N}"
             )
-        if (self.phi.turns * self.N).denominator != 1:
+        if (phi.turns * N).denominator != 1:
             raise AdmissibilityError(
-                f"phase {format_rational(self.phi.turns)} of a turn is not an integer"
-                f" multiple of 1/{self.N}"
+                f"phase {format_rational(phi.turns)} of a turn is not an integer"
+                f" multiple of 1/{N}"
             )
+        object.__setattr__(self, "cos_theta", cos_theta)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "N", N)
 
     @property
     def n1(self) -> int:
@@ -150,8 +149,7 @@ def make_finite_qubit(
     return FiniteQubit(as_rational(cos_theta), phi, N)
 
 
-@dataclass(frozen=True)
-class SuperpositionResult:
+class SuperpositionResult(NamedTuple):
     """Outcome of normalizing the sum of two equal-weight qubit states.
 
     ``finite`` is True exactly when the resulting polar cosine is rational,
@@ -190,19 +188,19 @@ def superpose_classify(phi1: RationalAngle, phi2: RationalAngle) -> Superpositio
     return SuperpositionResult(CosineClass(None), azimuth, False)
 
 
-@dataclass(frozen=True)
-class HelixEnsemble:
+class HelixEnsemble(_Frozen):
     """N equally weighted trajectory strands, n1 of them labelled by basis
     cluster 0 and the rest by cluster 1, held as the two counts."""
 
-    N: int
-    n1: int
+    __slots__ = ("N", "n1")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.N, int) or self.N < 1:
-            raise ValueError(f"N = {self.N!r} must be a positive integer")
-        if not isinstance(self.n1, int) or not 0 <= self.n1 <= self.N:
-            raise ValueError(f"n1 = {self.n1!r} must be an integer in [0, {self.N}]")
+    def __init__(self, N: int, n1: int) -> None:
+        if not isinstance(N, int) or N < 1:
+            raise ValueError(f"N = {N!r} must be a positive integer")
+        if not isinstance(n1, int) or not 0 <= n1 <= N:
+            raise ValueError(f"n1 = {n1!r} must be an integer in [0, {N}]")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "n1", n1)
 
     @property
     def strand_weight(self) -> Fraction:

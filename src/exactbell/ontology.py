@@ -12,7 +12,6 @@ not assumed away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -20,6 +19,7 @@ from typing import NamedTuple
 from .exactnum import (
     QuadraticSurd,
     RationalAngle,
+    _Frozen,
     as_rational,
     format_rational,
     niven_classify,
@@ -81,8 +81,7 @@ class CounterfactualCase(Enum):
     GENERIC_IRRATIONAL = "generic-irrational"
 
 
-@dataclass(frozen=True)
-class OnticClass:
+class OnticClass(NamedTuple):
     """Counterfactual cosine classification: an exact rational value when
     the counterfactual direction is admissible (ontic), else the marker
     that the required cosine is irrational, with the deciding branch."""
@@ -95,8 +94,7 @@ class OnticClass:
         return self.value is not None
 
 
-@dataclass(frozen=True)
-class SphericalTriangle:
+class SphericalTriangle(_Frozen):
     """Measurement triangle on the unit sphere: the realized arc and the
     prepared arc meet at the reference vertex with opening angle gamma.
 
@@ -105,16 +103,15 @@ class SphericalTriangle:
     generally not rational turn fractions.
     """
 
-    cos_side_a: Fraction
-    cos_side_b: Fraction
-    gamma: RationalAngle
+    __slots__ = ("cos_side_a", "cos_side_b", "gamma")
 
-    def __post_init__(self) -> None:
-        for name in ("cos_side_a", "cos_side_b"):
-            value = as_rational(getattr(self, name))
-            object.__setattr__(self, name, value)
+    def __init__(self, cos_side_a: Fraction, cos_side_b: Fraction, gamma: RationalAngle) -> None:
+        for name, value in zip(self.__slots__, (cos_side_a, cos_side_b)):
+            value = as_rational(value)
             if not -1 <= value <= 1:
                 raise ValueError(f"{name} = {format_rational(value)} outside [-1, 1]")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "gamma", gamma)
 
 
 def counterfactual_cosine_class(triangle: SphericalTriangle) -> OnticClass:

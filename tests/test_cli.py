@@ -182,6 +182,13 @@ def test_domain_error_exits_two(capsys):
     assert code == 2
 
 
+def test_unparseable_padic_value_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "padic", "--valuation", "abc", "3")
+    assert code == 1
+    assert out == ""
+    assert "is not a valid rational" in err
+
+
 def test_padic_primality_is_certain_or_refused(capsys):
     # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every
     # prime base up to 37; base 41 exposes it.
@@ -349,6 +356,28 @@ def test_cli_import_loads_only_the_standard_library():
     src = str(Path(cli.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-c", _THIRD_PARTY_IMPORTS],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
+_HEAVY_IMPORTS = """
+import sys
+before = set(sys.modules)
+import exactbell.cli
+print(sorted({"dataclasses", "inspect", "csv", "datetime"} & (set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_skips_modules_only_some_runs_need():
+    # A cold start pays for every import: `csv` serves only --format csv,
+    # `datetime` only --meta, and the value types need no `dataclasses`.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _HEAVY_IMPORTS],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
