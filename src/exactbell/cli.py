@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import io
-import json
 import math
 import re
 import sys
@@ -136,9 +136,12 @@ def _angle_arg(text: str) -> RationalAngle:
 
 def _int_list_arg(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [int(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated integer list") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} lists no integers")
+    return values
 
 
 def _check_length(flag: str, length: int) -> None:
@@ -454,6 +457,8 @@ def _parse_digits(text: str) -> tuple[int, ...]:
 
 def cmd_validate(args: argparse.Namespace) -> dict:
     if args.state is not None:
+        import json
+
         raw = sys.stdin.read() if args.state == "-" else _read_file(args.state)
         try:
             data = json.loads(raw)
@@ -562,6 +567,8 @@ def _flatten(value: object, prefix: str, out: list[tuple[str, str]]) -> None:
 
 def _render(payload: dict, fmt: str, meta: dict | None) -> str:
     if fmt == "json":
+        import json
+
         document = {"data": payload, "meta": meta} if meta else payload
         return json.dumps(document, indent=2) + "\n"
     prelude = ""
@@ -619,12 +626,30 @@ def main(argv: list[str] | None = None) -> int:
         }
     text = _render(payload, args.format, meta)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"exactbell: error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return DOMAIN_EXIT
     else:
         sys.stdout.write(text)
     return 0
 
 
+def run() -> int:
+    """Process entry point: run main(), then freeze the objects still alive.
+
+    The interpreter's exit runs full garbage collections over every object
+    the imports created, all of which are about to be freed anyway.
+    gc.freeze() moves them out of the collector's view; streams are still
+    flushed and atexit handlers still run. In-process callers of main()
+    keep normal collection.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

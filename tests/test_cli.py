@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -18,6 +19,18 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*args):
+    """Run `python *args` in a new interpreter that imports this exactbell."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    return result.returncode, result.stdout, result.stderr
 
 
 # --- dispatch and payloads ---------------------------------------------------
@@ -248,6 +261,27 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text()) == {"cos": "1/2"}
 
 
+def test_unwritable_output_path_is_domain_error(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "out.json"
+    for target in (missing, tmp_path):
+        code, out, err = run_cli(capsys, "niven", "1/6", "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"exactbell: error: cannot write {target}: ")
+        assert "Traceback" not in err
+    assert not missing.parent.exists()
+
+
+def test_empty_N_list_is_usage_error(capsys):
+    for spelling in (",", ""):
+        code, out, err = run_cli(
+            capsys, "sweep", "--N", spelling, "--auto-tsirelson", "--format", "csv"
+        )
+        assert code == 1
+        assert out == ""
+        assert "lists no integers" in err
+
+
 def test_config_file_provides_defaults(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text("N = 16\nauto_tsirelson = true\n")
@@ -353,37 +387,24 @@ print(sorted(loaded - set(sys.stdlib_module_names) - {"exactbell"}))
 
 
 def test_cli_import_loads_only_the_standard_library():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", _THIRD_PARTY_IMPORTS],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.strip() == "[]"
+    code, out, _ = run_fresh("-c", _THIRD_PARTY_IMPORTS)
+    assert (code, out.strip()) == (0, "[]")
 
 
 _HEAVY_IMPORTS = """
 import sys
 before = set(sys.modules)
 import exactbell.cli
-print(sorted({"dataclasses", "inspect", "csv", "datetime"} & (set(sys.modules) - before)))
+print(sorted({"dataclasses", "inspect", "csv", "datetime", "json"} & (set(sys.modules) - before)))
 """
 
 
 def test_cli_import_skips_modules_only_some_runs_need():
     # A cold start pays for every import: `csv` serves only --format csv,
-    # `datetime` only --meta, and the value types need no `dataclasses`.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", _HEAVY_IMPORTS],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.strip() == "[]"
+    # `datetime` only --meta, `json` only JSON output and --state, and the
+    # value types need no `dataclasses`.
+    code, out, _ = run_fresh("-c", _HEAVY_IMPORTS)
+    assert (code, out.strip()) == (0, "[]")
 
 
 def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
@@ -399,16 +420,58 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch, capsys
         ("sweep", "--N", "8,16,1024", "--auto-tsirelson", "--format", "csv"),
         ("counterfactual", "--cos-a", "1/2", "--cos-b", "1/3", "--gamma", "1/6"),
     ]
-    src = str(Path(cli.__file__).resolve().parents[1])
     codes = []
     for argv in calls:
         in_process = run_cli(capsys, *argv)
-        fresh = subprocess.run(
-            [sys.executable, "-m", "exactbell.cli", *argv],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-        )
-        assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert in_process == run_fresh("-m", "exactbell.cli", *argv), argv
         codes.append(in_process[0])
     assert codes == [0, 1, 0, 0, 0]
+
+
+def test_entry_point_process_matches_in_process_main(tmp_path, monkeypatch, capsys):
+    # `python -m exactbell.cli` goes through run(), which freezes the heap
+    # before exit; output, exit code and --output files must not change.
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        (("niven", "1/6"), 0),
+        (("chsh",), 1),
+        (("padic", "--valuation", "3", "1"), 2),
+        (("--help",), 0),
+        (("chsh", "--help"), 0),
+        (("--version",), 0),
+    ]
+    for argv, expected in calls:
+        in_process = run_cli(capsys, *argv)
+        assert in_process == run_fresh("-m", "exactbell.cli", *argv), argv
+        assert in_process[0] == expected, argv
+
+    argv = ["sweep", "--N", "2,3,5,8,13,21,34,55,89,144", "--auto-tsirelson", "--format", "csv"]
+    in_process_file = tmp_path / "in_process.csv"
+    fresh_file = tmp_path / "fresh.csv"
+    assert run_cli(capsys, *argv, "--output", str(in_process_file)) == (0, "", "")
+    assert run_fresh("-m", "exactbell.cli", *argv, "--output", str(fresh_file)) == (0, "", "")
+    assert fresh_file.read_bytes() == in_process_file.read_bytes()
+    assert in_process_file.read_text().count("\n") == 11
+
+
+def test_only_the_entry_function_freezes_the_heap(capsys):
+    before = gc.get_freeze_count()
+    for argv in (("niven", "1/6"), ("chsh",), ("sweep", "--N", "8,16", "--auto-tsirelson")):
+        run_cli(capsys, *argv)
+    assert gc.get_freeze_count() == before
+
+    script = (
+        "import gc, sys\n"
+        "from exactbell import cli\n"
+        "sys.argv = ['exactbell', 'niven', '1/6', '--format', 'plain']\n"
+        "code = cli.run()\n"
+        "print(code, gc.get_freeze_count() > 0)\n"
+    )
+    assert run_fresh("-c", script) == (0, "cos = 1/2\n0 True\n", "")
+
+
+def test_console_script_names_the_entry_function():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"exactbell": "exactbell.cli:run"}
