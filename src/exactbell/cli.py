@@ -74,6 +74,12 @@ DOMAIN_EXIT = 2
 # are refused with exit 2 instead of exhausting it.
 MAX_SEQUENCE_LENGTH = 10**7
 
+# Widest integer, in decimal digits, that a subcommand prints or reads from
+# a state file. It is CPython's default int-to-str limit, so every output
+# that fits it prints as before; a wider integer exits 2 naming this limit.
+MAX_INT_DIGITS = 4300
+_INT_BOUND = 10**MAX_INT_DIGITS
+
 # Where each library operation surfaces on the command line. The chsh
 # report embeds the verifiers, the classical bound and (on request) the
 # floating-point oracle; the counterfactual report embeds the context
@@ -147,6 +153,30 @@ def _int_list_arg(text: str) -> list[int]:
 def _check_length(flag: str, length: int) -> None:
     if length > MAX_SEQUENCE_LENGTH:
         raise ValueError(f"{flag} {length} is over the length cap {MAX_SEQUENCE_LENGTH}")
+
+
+def _too_wide(what: str) -> ValueError:
+    return ValueError(f"{what} has more than MAX_INT_DIGITS = {MAX_INT_DIGITS} digits")
+
+
+def _check_digits(what: str, value: int) -> int:
+    if abs(value) >= _INT_BOUND:
+        raise _too_wide(what)
+    return value
+
+
+def _rational(value: Fraction) -> str:
+    """format_rational, refusing a numerator or denominator past MAX_INT_DIGITS."""
+    _check_digits("an output integer", value.numerator)
+    _check_digits("an output integer", value.denominator)
+    return format_rational(value)
+
+
+def _state_int(text: str) -> int:
+    # JSON integers have no leading zeros, so the digit count decides.
+    if len(text.lstrip("-")) > MAX_INT_DIGITS:
+        raise _too_wide("a state-file integer")
+    return int(text)
 
 
 @functools.cache
@@ -273,7 +303,7 @@ def build_parser() -> _Parser:
 
 def cmd_niven(args: argparse.Namespace) -> dict:
     result = niven_classify(args.turns)
-    return {"cos": format_rational(result.value) if result.is_rational else "irrational"}
+    return {"cos": _rational(result.value) if result.is_rational else "irrational"}
 
 
 def cmd_counterfactual(args: argparse.Namespace) -> dict:
@@ -284,15 +314,13 @@ def cmd_counterfactual(args: argparse.Namespace) -> dict:
     admissible = sorted(admissible_contexts(realized))
     return {
         "ontic": result.is_ontic,
-        "value": format_rational(result.value) if result.is_ontic else "irrational",
+        "value": _rational(result.value) if result.is_ontic else "irrational",
         "case": result.case.value,
         "realized_context": _context_str(realized),
         "counterfactual_context": _context_str(counterfactual),
         "admissible_contexts": ";".join(_context_str(c) for c in admissible),
-        "counterfactual_weight": format_rational(
-            context_weight(args.weight, realized, counterfactual)
-        ),
-        "complement_weight": format_rational(
+        "counterfactual_weight": _rational(context_weight(args.weight, realized, counterfactual)),
+        "complement_weight": _rational(
             context_weight(args.weight, realized, realized.complement())
         ),
     }
@@ -306,9 +334,9 @@ def cmd_superpose(args: argparse.Namespace) -> dict:
     result = superpose_classify(args.phi1, args.phi2)
     cos_sq = result.cos_sq_half_polar.value
     return {
-        "cos_sq_half_polar": format_rational(cos_sq) if cos_sq is not None else "irrational",
-        "cos_polar": format_rational(result.cos_polar) if cos_sq is not None else "irrational",
-        "azimuth_turns": format_rational(result.azimuth.turns),
+        "cos_sq_half_polar": _rational(cos_sq) if cos_sq is not None else "irrational",
+        "cos_polar": _rational(result.cos_polar) if cos_sq is not None else "irrational",
+        "azimuth_turns": _rational(result.azimuth.turns),
         "finite": result.finite,
     }
 
@@ -329,27 +357,23 @@ def _chsh_payload(settings: MeasurementSettings) -> dict:
     payload = {
         "N": settings.N,
         "settings": {
-            "cos00": format_rational(settings.cos00),
-            "cos01": format_rational(settings.cos01),
-            "cos10": format_rational(settings.cos10),
-            "cos11": format_rational(settings.cos11),
+            "cos00": _rational(settings.cos00),
+            "cos01": _rational(settings.cos01),
+            "cos10": _rational(settings.cos10),
+            "cos11": _rational(settings.cos11),
         },
         "correlations": {
-            "E00": format_rational(report.correlations[c00]),
-            "E01": format_rational(report.correlations[c01]),
-            "E10": format_rational(report.correlations[c10]),
-            "E11": format_rational(report.correlations[c11]),
+            "E00": _rational(report.correlations[c00]),
+            "E01": _rational(report.correlations[c01]),
+            "E10": _rational(report.correlations[c10]),
+            "E11": _rational(report.correlations[c11]),
         },
-        "marginals_a": {
-            _context_str(c): format_rational(report.marginals_a[c]) for c in CONTEXTS
-        },
-        "marginals_b": {
-            _context_str(c): format_rational(report.marginals_b[c]) for c in CONTEXTS
-        },
-        "S": format_rational(report.s_value),
+        "marginals_a": {_context_str(c): _rational(report.marginals_a[c]) for c in CONTEXTS},
+        "marginals_b": {_context_str(c): _rational(report.marginals_b[c]) for c in CONTEXTS},
+        "S": _rational(report.s_value),
         "S_decimal": decimal_string(report.s_value),
-        "abs_S": format_rational(abs(report.s_value)),
-        "classical_bound": format_rational(classical_chsh_max()),
+        "abs_S": _rational(abs(report.s_value)),
+        "classical_bound": _rational(classical_chsh_max()),
         "tsirelson_reference": report.tsirelson_reference,
         "gap_to_tsirelson": tsirelson_gap(report.s_value),
         "violates_classical_bound": abs(report.s_value) > 2,
@@ -383,8 +407,8 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
             {
                 "N": n_value,
                 "n": int(grid_index),
-                "S_num": report.s_value.numerator,
-                "S_den": report.s_value.denominator,
+                "S_num": _check_digits("S_num", report.s_value.numerator),
+                "S_den": _check_digits("S_den", report.s_value.denominator),
                 "S_decimal": decimal_string(report.s_value),
                 "gap_to_tsirelson": tsirelson_gap(report.s_value),
             }
@@ -399,7 +423,7 @@ def cmd_bits(args: argparse.Namespace) -> dict:
         _check_length("--count", args.count)
         result = generate_bits(args.from_seed, args.count)
         return {
-            "seed": format_rational(args.from_seed),
+            "seed": _rational(args.from_seed),
             "count": args.count,
             "bits": str(result),
             "period": result.period,
@@ -408,7 +432,7 @@ def cmd_bits(args: argparse.Namespace) -> dict:
     return {
         "bits": str(args.to_seed),
         "reading": "periodic" if args.periodic else "finite",
-        "seed": format_rational(seed),
+        "seed": _rational(seed),
     }
 
 
@@ -425,10 +449,10 @@ def cmd_padic(args: argparse.Namespace) -> dict:
             raise UsageError(f"{prime_text!r} is not an integer prime") from exc
         valuation = padic_valuation(value, prime)
         return {
-            "value": format_rational(value),
+            "value": _rational(value),
             "prime": prime,
-            "valuation": "inf" if valuation == math.inf else valuation,
-            "norm": format_rational(padic_norm(value, prime)),
+            "valuation": "inf" if valuation is None else valuation,
+            "norm": _rational(padic_norm(value, prime)),
         }
     if args.base is None:
         raise UsageError("--ultrametric needs --base")
@@ -444,7 +468,7 @@ def cmd_padic(args: argparse.Namespace) -> dict:
         "base": args.base,
         "digits_a": ",".join(str(d) for d in digits_a),
         "digits_b": ",".join(str(d) for d in digits_b),
-        "distance": format_rational(distance),
+        "distance": _rational(distance),
     }
 
 
@@ -461,7 +485,7 @@ def cmd_validate(args: argparse.Namespace) -> dict:
 
         raw = sys.stdin.read() if args.state == "-" else _read_file(args.state)
         try:
-            data = json.loads(raw)
+            data = json.loads(raw, parse_int=_state_int)
         except json.JSONDecodeError as exc:
             raise ValueError(f"state file is not valid JSON: {exc}") from exc
         except RecursionError as exc:
@@ -484,8 +508,8 @@ def cmd_validate(args: argparse.Namespace) -> dict:
         "valid": not violations,
         "violations": violations,
         "helix_labels": "0" * strands.n1 + "1" * (strands.N - strands.n1),
-        "fraction_zero": format_rational(fraction_zero),
-        "fraction_one": format_rational(fraction_one),
+        "fraction_zero": _rational(fraction_zero),
+        "fraction_one": _rational(fraction_one),
     }
 
 

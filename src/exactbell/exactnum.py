@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 __all__ = [
-    "Rational",
     "RationalAngle",
     "CosineClass",
     "QuadraticSurd",
@@ -28,11 +27,6 @@ __all__ = [
     "padic_valuation",
     "padic_norm",
 ]
-
-# Arbitrary-precision rational scalar. fractions.Fraction already carries the
-# invariants we need: always in lowest terms, denominator > 0, zero as 0/1.
-Rational = Fraction
-
 
 def as_rational(value: Fraction | int | str) -> Fraction:
     """Coerce to an exact rational, refusing floats outright."""
@@ -400,12 +394,14 @@ def _int_valuation(n: int, p: int) -> int:
     return count
 
 
-def padic_valuation(value: Fraction | int, p: int) -> int | float:
+def padic_valuation(value: Fraction | int, p: int) -> int | None:
     """Exponent v with value = p**v * (u/w) and p dividing neither u nor w.
 
-    The valuation of 0 is +infinity, reported as math.inf. Composite p is
-    rejected: the norm p**(-v) is multiplicative only for primes, which is
-    why arbitrary bases are served by the digit-string ultrametric instead.
+    The valuation of 0 is +infinity, which no integer holds; it is
+    reported as None, since math.inf would put a float on the production
+    path. Composite p is rejected: the norm p**(-v) is multiplicative only
+    for primes, which is why arbitrary bases are served by the digit-string
+    ultrametric instead.
     Primes at or above _MR_BOUND are refused too, since primality is
     certain only below it.
     """
@@ -415,13 +411,13 @@ def padic_valuation(value: Fraction | int, p: int) -> int | float:
         raise ValueError(f"{p!r} is not a prime")
     value = as_rational(value)
     if value == 0:
-        return math.inf
+        return None
     return _int_valuation(abs(value.numerator), p) - _int_valuation(value.denominator, p)
 
 
 def padic_norm(value: Fraction | int, p: int) -> Fraction:
     """p**(-valuation); the norm of 0 is 0."""
     v = padic_valuation(value, p)
-    if v == math.inf:
+    if v is None:
         return Fraction(0)
     return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import os
@@ -312,6 +313,21 @@ def test_config_equals_form_and_missing_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "chsh", "--config", str(tmp_path / "none.conf"))
     assert code == 1
     assert "cannot read" in err
+
+
+def test_config_boolean_flags_are_the_parsers_store_true_flags():
+    # --config turns `key = true` into a bare flag only for the flags it
+    # knows are booleans; a new store_true flag must be listed there too.
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    store_true = {
+        option
+        for subparser in commands.choices.values()
+        for action in subparser._actions
+        if isinstance(action, argparse._StoreTrueAction)
+        for option in action.option_strings
+    }
+    assert cli._BOOLEAN_FLAGS == store_true
 
 
 def test_negative_fraction_values_parse(capsys):

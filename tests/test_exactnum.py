@@ -277,7 +277,7 @@ def test_padic_valuation_examples():
     assert padic_valuation(8, 2) == 3
     assert padic_valuation(Fraction(3, 4), 2) == -2
     assert padic_valuation(5, 3) == 0
-    assert padic_valuation(0, 2) == math.inf
+    assert padic_valuation(0, 2) is None
 
 
 def test_padic_rejects_composite():

@@ -133,3 +133,42 @@ def test_deeply_nested_state_file_is_a_domain_error(tmp_path):
     assert result.returncode == 2
     assert "nests too deeply" in result.stderr and "Traceback" not in result.stderr
     assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
+# --- wide integers -------------------------------------------------------------
+
+DIGITS = cli.MAX_INT_DIGITS
+
+
+def _assert_refused_by_digit_limit(result, elapsed):
+    assert result.returncode == 2
+    assert f"MAX_INT_DIGITS = {DIGITS}" in result.stderr
+    assert "set_int_max_str_digits" not in result.stderr and "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
+def test_bit_string_seed_at_the_digit_limit_prints_and_one_bit_more_is_refused():
+    # n ones read back as (2**n - 1) / 2**n; 2**14284 has 4300 digits and
+    # 2**14285 has 4301.
+    result, elapsed = _run("bits", "--to-seed", "1" * 14284)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["seed"] == f"{2**14284 - 1}/{2**14284}"
+    assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+    _assert_refused_by_digit_limit(*_run("bits", "--to-seed", "1" * 14285))
+
+
+def test_counterfactual_value_past_the_digit_limit_is_refused():
+    # cos gamma = 0, so the counterfactual cosine is A * A, an 8,000-digit
+    # denominator from 4,000-digit inputs.
+    cosine = "1/" + "7" * 4000
+    _assert_refused_by_digit_limit(
+        *_run("counterfactual", "--cos-a", cosine, "--cos-b", cosine, "--gamma", "1/4")
+    )
+
+
+def test_state_file_integer_past_the_digit_limit_is_refused(tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text('{"N": ' + "9" * 5000 + ', "amps": []}')
+    _assert_refused_by_digit_limit(*_run("validate", "--state", str(path)))
