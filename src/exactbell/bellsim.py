@@ -1,6 +1,7 @@
 """Contextual weighted sample spaces for the CHSH experiment, the exact
-CHSH combination, the weakened on-support verifiers, the classical
-deterministic bound, and a floating-point spin-operator oracle.
+CHSH combination, the weakened on-support verifiers and the classical
+deterministic bound. The floating-point spin-operator oracle that
+cross-checks the singlet rule lives apart, in exactbell.oracle.
 
 Outcome encoding: measurement results are recorded as +1/-1 throughout
 (bit 0 maps to +1, bit 1 to -1), which is the algebra the CHSH combination
@@ -35,7 +36,6 @@ __all__ = [
     "MeasurementSettings",
     "BellEnsemble",
     "ChshReport",
-    "SpinOracleResult",
     "TSIRELSON_2SQRT2",
     "singlet_correlation",
     "rational_cos_approx",
@@ -48,7 +48,6 @@ __all__ = [
     "verify_local_causality_on_IU",
     "collapse_contexts",
     "classical_chsh_max",
-    "spin_operator_oracle",
     "decimal_string",
     "tsirelson_gap",
 ]
@@ -95,10 +94,19 @@ def tsirelson_gap(s_value: Fraction, digits: int = 20) -> str:
     digits of working precision.
     """
     with localcontext() as ctx:
-        ctx.prec = digits + 2 * len(str(s_value.denominator)) + 5
+        ctx.prec = digits + 2 * _decimal_digits(s_value.denominator) + 5
         gap = abs(Decimal(8).sqrt() - abs(Decimal(s_value.numerator) / Decimal(s_value.denominator)))
         ctx.prec = digits
         return str(+gap)
+
+
+def _decimal_digits(n: int) -> int:
+    """len(str(n)) for n >= 1, without the int-to-str conversion that
+    CPython refuses past 4,300 digits. The bit length times log10(2),
+    rounded down at 30 digits, is the count or one short of it for any
+    integer that fits in memory; one power of ten decides which."""
+    estimate = n.bit_length() * 301029995663981195213738894724 // 10**30
+    return estimate + (n >= 10**estimate)
 
 
 def singlet_correlation(cos_theta: Fraction | int | str) -> Fraction:
@@ -164,15 +172,6 @@ class MeasurementSettings(_Frozen):
                 )
             object.__setattr__(self, name, value)
         object.__setattr__(self, "N", N)
-
-    def cosine(self, context: ContextPair) -> Fraction:
-        lookup = {
-            (0, 0): self.cos00,
-            (0, 1): self.cos01,
-            (1, 0): self.cos10,
-            (1, 1): self.cos11,
-        }
-        return lookup[tuple(context)]
 
 
 def tsirelson_settings(N: int) -> MeasurementSettings:
@@ -427,73 +426,3 @@ def classical_chsh_max() -> Fraction:
         if best is None or s > best:
             best = s
     return Fraction(best)
-
-
-Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
-
-
-class SpinOracleResult(NamedTuple):
-    """Floating-point spin operators (2x2 row tuples), their closed-form
-    eigenpairs, and singlet expectations for the measurement triangle."""
-
-    operators: dict[str, Matrix2]
-    eigenpairs: dict[str, tuple[tuple[float, tuple[complex, complex]], ...]]
-    singlet_expectation: float
-    counterfactual_expectation: float
-
-
-_SINGLET = (0j, 1 / math.sqrt(2.0) + 0j, -1 / math.sqrt(2.0) + 0j, 0j)
-
-
-def _spin_projection(x: float, y: float, z: float) -> Matrix2:
-    # sigma.n = x*sigma_x + y*sigma_y + z*sigma_z, entry by entry.
-    return ((complex(z), complex(x, -y)), (complex(x, y), complex(-z)))
-
-
-def _singlet_expectation(left: Matrix2, right: Matrix2) -> float:
-    # <singlet| left (x) right |singlet>, read entry by entry off the 4x4
-    # Kronecker product: row 2i+k, column 2j+l holds left[i][j]*right[k][l].
-    kron = [
-        [left[i][j] * right[k][l] for j in range(2) for l in range(2)]
-        for i in range(2)
-        for k in range(2)
-    ]
-    bra = [sum(_SINGLET[r].conjugate() * kron[r][c] for r in range(4)) for c in range(4)]
-    return sum(bra[c] * _SINGLET[c] for c in range(4)).real
-
-
-def spin_operator_oracle(theta: float, gamma: float) -> SpinOracleResult:
-    """Double-precision cross-check of the exact singlet rule.
-
-    Directions: x0 along the z axis, x1 at polar angle theta in the x-z
-    plane, y0 at polar angle theta with azimuth gamma. Operators are the
-    Hermitian spin projections sigma.n, eigenpairs are written in closed
-    form (half-angle cosines with the azimuthal phase on the upper
-    component), and the singlet expectations are evaluated numerically from
-    the operators' entries through the 4x4 tensor product. This exists
-    purely as a test oracle; the production path never leaves exact
-    arithmetic.
-    """
-    directions = {
-        "x0": (0.0, 0.0, 1.0),
-        "x1": (math.sin(theta), 0.0, math.cos(theta)),
-        "y0": (
-            math.sin(theta) * math.cos(gamma),
-            math.sin(theta) * math.sin(gamma),
-            math.cos(theta),
-        ),
-    }
-    operators = {name: _spin_projection(*vector) for name, vector in directions.items()}
-    cos_half, sin_half = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    phase = complex(math.cos(gamma), -math.sin(gamma))
-    eigenpairs = {
-        "x0": ((1.0, (1.0, 0.0)), (-1.0, (0.0, 1.0))),
-        "x1": ((1.0, (cos_half, sin_half)), (-1.0, (sin_half, -cos_half))),
-        "y0": ((1.0, (phase * cos_half, sin_half)), (-1.0, (phase * sin_half, -cos_half))),
-    }
-    return SpinOracleResult(
-        operators=operators,
-        eigenpairs=eigenpairs,
-        singlet_expectation=_singlet_expectation(operators["x0"], operators["y0"]),
-        counterfactual_expectation=_singlet_expectation(operators["x1"], operators["y0"]),
-    )

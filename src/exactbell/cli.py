@@ -18,7 +18,6 @@ import argparse
 import functools
 import gc
 import io
-import math
 import re
 import sys
 from fractions import Fraction
@@ -31,8 +30,6 @@ from .bellsim import (
     chsh_value,
     classical_chsh_max,
     decimal_string,
-    singlet_correlation,
-    spin_operator_oracle,
     tsirelson_gap,
     tsirelson_settings,
     verify_free_choice_on_IU,
@@ -65,6 +62,7 @@ from .ontology import (
     context_weight,
     counterfactual_cosine_class,
 )
+from .oracle import oracle_max_abs_error
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -79,35 +77,6 @@ MAX_SEQUENCE_LENGTH = 10**7
 # that fits it prints as before; a wider integer exits 2 naming this limit.
 MAX_INT_DIGITS = 4300
 _INT_BOUND = 10**MAX_INT_DIGITS
-
-# Where each library operation surfaces on the command line. The chsh
-# report embeds the verifiers, the classical bound and (on request) the
-# floating-point oracle; the counterfactual report embeds the context
-# machinery; the validate report embeds the qubit/ensemble pipeline.
-OPERATION_COVERAGE = {
-    "niven_classify": "niven",
-    "is_perfect_square": "counterfactual",
-    "ultrametric_distance": "padic",
-    "padic_valuation": "padic",
-    "validate_finite_state": "validate",
-    "make_finite_qubit": "validate",
-    "superpose_classify": "superpose",
-    "helix_ensemble": "validate",
-    "ensemble_statistics": "validate",
-    "counterfactual_cosine_class": "counterfactual",
-    "admissible_contexts": "counterfactual",
-    "context_weight": "counterfactual",
-    "singlet_correlation": "chsh",
-    "rational_cos_approx": "chsh",
-    "build_bell_ensemble": "chsh",
-    "chsh_value": "chsh",
-    "verify_free_choice_on_IU": "chsh",
-    "verify_local_causality_on_IU": "chsh",
-    "classical_chsh_max": "chsh",
-    "spin_operator_oracle": "chsh",
-    "generate_bits": "bits",
-    "seed_from_bits": "bits",
-}
 
 _BOOLEAN_FLAGS = {"--auto-tsirelson", "--oracle-check", "--periodic", "--qubit", "--meta"}
 
@@ -387,13 +356,9 @@ def cmd_chsh(args: argparse.Namespace) -> dict:
     settings = _settings_from_args(args, args.N)
     payload = _chsh_payload(settings)
     if args.oracle_check:
-        worst = 0.0
-        for context in CONTEXTS:
-            cosine = settings.cosine(context)
-            exact = singlet_correlation(cosine)
-            numeric = spin_operator_oracle(math.acos(float(cosine)), 0.0).singlet_expectation
-            worst = max(worst, abs(numeric - float(exact)))
-        payload["oracle_max_abs_error"] = f"{worst:.3e}"
+        payload["oracle_max_abs_error"] = oracle_max_abs_error(
+            settings.cos00, settings.cos01, settings.cos10, settings.cos11
+        )
     return payload
 
 
@@ -491,6 +456,9 @@ def cmd_validate(args: argparse.Namespace) -> dict:
         except RecursionError as exc:
             raise ValueError("state file nests too deeply to parse") from exc
         state = state_from_dict(data)
+        # The normalization message prints sum(m); a sum past the digit
+        # limit can never equal an N within it.
+        _check_digits("the state's sum(m)", sum(amp.m for amp in state.amps))
         violations = validate_finite_state(state)
         return {"valid": not violations, "violations": violations}
     if args.cos_theta is None or args.N is None:

@@ -19,7 +19,6 @@ from exactbell.bellsim import (
     build_bell_ensemble,
     chsh_value,
     classical_chsh_max,
-    spin_operator_oracle,
     tsirelson_settings,
     verify_free_choice_on_IU,
     verify_local_causality_on_IU,
@@ -34,6 +33,7 @@ from exactbell.exactnum import (
 )
 from exactbell.finitestates import superpose_classify
 from exactbell.ontology import SphericalTriangle, counterfactual_cosine_class
+from exactbell.oracle import spin_operator_oracle
 
 from oracles import classify_cosine_by_minimal_polynomial
 

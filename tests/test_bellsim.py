@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exactbell import bellsim
 from exactbell.bellsim import (
     CONTEXTS,
     BellEnsemble,
@@ -24,12 +25,12 @@ from exactbell.bellsim import (
     local_causality_violations,
     rational_cos_approx,
     singlet_correlation,
-    spin_operator_oracle,
     tsirelson_gap,
     tsirelson_settings,
     verify_free_choice_on_IU,
     verify_local_causality_on_IU,
 )
+from exactbell.oracle import spin_operator_oracle
 
 C00, C01, C10, C11 = CONTEXTS
 
@@ -170,8 +171,9 @@ def test_exactness_of_correlations_and_marginals(measurement):
     assert sum(_atom_weights(ensemble)) == 1
     assert all(weight >= 0 for weight in _atom_weights(ensemble))
     report = chsh_value(ensemble)
-    for context in CONTEXTS:
-        assert report.correlations[context] == -measurement.cosine(context)
+    cosines = (measurement.cos00, measurement.cos01, measurement.cos10, measurement.cos11)
+    for context, cosine in zip(CONTEXTS, cosines):
+        assert report.correlations[context] == -cosine
         assert report.marginals_a[context] == 0
         assert report.marginals_b[context] == 0
     assert abs(report.s_value) <= 4
@@ -355,6 +357,25 @@ def test_tsirelson_gap_matches_mpmath_at_huge_n(N):
         expected = mpmath.nstr(exact_gap, 20, min_fixed=1, max_fixed=0)
     assert Decimal(tsirelson_gap(s_value)) == Decimal(expected)
     assert Decimal(tsirelson_gap(s_value)) > 0
+
+
+def test_tsirelson_gap_past_the_int_to_str_limit_matches_mpmath():
+    # A denominator of 4,301 digits, which str() refuses by default.
+    s_value = Fraction(3, 10**4300)
+    with mpmath.workdps(8700):
+        exact_gap = 2 * mpmath.sqrt(2) - mpmath.mpf(3) / mpmath.mpf(10) ** 4300
+        expected = mpmath.nstr(exact_gap, 20, min_fixed=1, max_fixed=0)
+    assert Decimal(tsirelson_gap(s_value)) == Decimal(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10**4300 - 1)
+    | st.builds(lambda k, d: 10**k + d, st.integers(1, 4299), st.integers(-1, 1))
+)
+def test_decimal_digit_count_matches_str(n):
+    # Both sides of every power of ten are where a bit-length estimate slips.
+    assert bellsim._decimal_digits(n) == len(str(n))
 
 
 # --- spin operator oracle ---------------------------------------------------------

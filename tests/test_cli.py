@@ -353,27 +353,6 @@ def test_validate_state_from_stdin(monkeypatch, capsys):
     assert json.loads(out)["valid"] is True
 
 
-# --- operation coverage -------------------------------------------------------------
-
-
-def test_every_operation_is_mapped_to_a_subcommand():
-    parser = cli.build_parser()
-    subcommands = {"niven", "counterfactual", "superpose", "chsh", "sweep", "bits", "padic", "validate"}
-    expected_operations = {
-        "niven_classify", "is_perfect_square", "ultrametric_distance",
-        "padic_valuation",
-        "validate_finite_state", "make_finite_qubit", "superpose_classify",
-        "helix_ensemble", "ensemble_statistics",
-        "counterfactual_cosine_class", "admissible_contexts", "context_weight",
-        "singlet_correlation", "rational_cos_approx", "build_bell_ensemble",
-        "chsh_value", "verify_free_choice_on_IU", "verify_local_causality_on_IU",
-        "classical_chsh_max", "spin_operator_oracle",
-        "generate_bits", "seed_from_bits",
-    }
-    assert set(cli.OPERATION_COVERAGE) == expected_operations
-    assert set(cli.OPERATION_COVERAGE.values()) <= subcommands
-
-
 @pytest.mark.parametrize(
     "argv",
     [

@@ -172,3 +172,11 @@ def test_state_file_integer_past_the_digit_limit_is_refused(tmp_path):
     path = tmp_path / "wide.json"
     path.write_text('{"N": ' + "9" * 5000 + ', "amps": []}')
     _assert_refused_by_digit_limit(*_run("validate", "--state", str(path)))
+
+
+def test_state_file_whose_sum_of_m_passes_the_digit_limit_is_refused(tmp_path):
+    # Each m has 4,300 digits and is read; their sum has 4,301.
+    path = tmp_path / "wide_sum.json"
+    amp = '{"m": ' + "9" * DIGITS + ', "phase_turns": "0"}'
+    path.write_text('{"N": 2, "amps": [' + amp + ", " + amp + "]}")
+    _assert_refused_by_digit_limit(*_run("validate", "--state", str(path)))
