@@ -15,9 +15,10 @@ construction, and it is what lets the four conditional correlations reach
 past the classical bound while each atom still assigns its outcomes
 locally.
 
-Weights are integer numerators over one shared denominator, so every sum
-and comparison is integer arithmetic; a Fraction is made only for each
-reported value.
+An ensemble is one table: atom i maps each context where it is defined to
+(a, b, w), its two outcomes there and its weight w over one shared
+denominator. Every sum and comparison is integer arithmetic; a Fraction is
+made only for each reported value.
 """
 
 from __future__ import annotations
@@ -163,12 +164,13 @@ class MeasurementSettings(_Frozen):
             raise ValueError(f"N = {N!r} must be an integer >= 2")
         for name, value in zip(self.__slots__, (cos00, cos01, cos10, cos11)):
             value = as_rational(value)
-            if not -1 <= value <= 1:
+            p, q = value.numerator, value.denominator
+            if abs(p) > q:
                 raise ValueError(f"{name} = {format_rational(value)} outside [-1, 1]")
-            if N % value.denominator:
+            if N % q:
                 raise ValueError(
                     f"{name} = {format_rational(value)} has denominator"
-                    f" {value.denominator}, which does not divide N = {N}"
+                    f" {q}, which does not divide N = {N}"
                 )
             object.__setattr__(self, name, value)
         object.__setattr__(self, "N", N)
@@ -183,41 +185,35 @@ def tsirelson_settings(N: int) -> MeasurementSettings:
 
 
 class BellEnsemble(_Frozen):
-    """Weighted sample space with per-context partial outcome tables.
+    """Weighted sample space held as one table of atoms.
 
-    Atom i is ``labels[i]``. It is defined in the contexts of
-    ``outcomes[i]`` (context -> (a, b)) and carries the weight
-    ``weights[i][context] / denominator`` in each of them.
+    Atom i is ``labels[i]``. ``atoms[i]`` maps each context where it is
+    defined to ``(a, b, w)``: its outcomes there and its weight
+    ``w / denominator``.
     """
 
-    __slots__ = ("labels", "outcomes", "weights", "denominator", "N")
+    __slots__ = ("labels", "atoms", "denominator", "N")
 
     def __init__(
         self,
         labels: tuple[str, ...],
-        outcomes: tuple[Mapping[ContextPair, tuple[int, int]], ...],
-        weights: tuple[Mapping[ContextPair, int], ...],
+        atoms: tuple[Mapping[ContextPair, tuple[int, int, int]], ...],
         denominator: int,
         N: int,
     ) -> None:
-        for name, value in zip(self.__slots__, (labels, outcomes, weights, denominator, N)):
+        for name, value in zip(self.__slots__, (labels, atoms, denominator, N)):
             object.__setattr__(self, name, value)
-        if not isinstance(self.denominator, int) or self.denominator <= 0:
-            raise ValueError(f"denominator {self.denominator!r} must be a positive integer")
-        if len(self.labels) == len(self.outcomes) == len(self.weights) and _well_formed(
-            self.outcomes, self.weights
-        ):
-            return
-        # Something is malformed: name the first atom at fault.
-        for label, outcomes, weights in zip(self.labels, self.outcomes, self.weights, strict=True):
-            if not outcomes.keys() <= _PARTNERS.keys():
+        if not isinstance(denominator, int) or denominator <= 0:
+            raise ValueError(f"denominator {denominator!r} must be a positive integer")
+        for label, atom in zip(labels, atoms, strict=True):
+            if not atom.keys() <= _PARTNERS.keys():
                 raise ValueError(f"{label}: contexts must be pairs of bits")
-            if not _OUTCOME_PAIRS.issuperset(outcomes.values()):
-                raise ValueError(f"{label}: outcomes must be +1 or -1")
-            if weights.keys() != outcomes.keys():
-                raise ValueError(f"{label}: weights must cover exactly the defined contexts")
-            if any(not isinstance(w, int) or w < 0 for w in weights.values()):
-                raise ValueError(f"{label}: weights must be nonnegative integers")
+            for row in atom.values():
+                if len(row) != 3 or row[:2] not in _OUTCOME_PAIRS:
+                    raise ValueError(f"{label}: outcomes must be +1 or -1")
+            for _, _, w in atom.values():
+                if not isinstance(w, int) or w < 0:
+                    raise ValueError(f"{label}: weights must be nonnegative integers")
 
     @classmethod
     def from_atoms(cls, atoms: Iterable[tuple[str, Mapping, Mapping]], N: int) -> BellEnsemble:
@@ -228,27 +224,17 @@ class BellEnsemble(_Frozen):
         context it leaves out weighs 0. The weights are scaled to integer
         numerators over their least common denominator.
         """
-        labels, outcomes, rational = [], [], []
+        labels, rational = [], []
         for label, atom_outcomes, atom_weights in atoms:
             given = {ContextPair(*c): as_rational(w) for c, w in dict(atom_weights).items()}
+            outcomes = {ContextPair(*c): tuple(ab) for c, ab in dict(atom_outcomes).items()}
             labels.append(label)
-            outcomes.append({ContextPair(*c): tuple(ab) for c, ab in dict(atom_outcomes).items()})
-            rational.append({c: given.get(c, Fraction(0)) for c in outcomes[-1]})
-        denominator = math.lcm(*(w.denominator for ws in rational for w in ws.values()))
-        weights = tuple({c: int(w * denominator) for c, w in ws.items()} for ws in rational)
-        return cls(tuple(labels), tuple(outcomes), weights, denominator, N)
-
-
-def _well_formed(outcomes: tuple[Mapping, ...], weights: tuple[Mapping, ...]) -> bool:
-    """All of BellEnsemble's per-atom checks at once, over whole columns."""
-    numerators = [w for atom in weights for w in atom.values()]
-    return (
-        [atom.keys() for atom in outcomes] == [atom.keys() for atom in weights]
-        and _PARTNERS.keys() >= set().union(*outcomes)
-        and _OUTCOME_PAIRS >= set().union(*(atom.values() for atom in outcomes))
-        and {int} >= set(map(type, numerators))
-        and min(numerators, default=0) >= 0
-    )
+            rational.append({c: (ab, given.get(c, Fraction(0))) for c, ab in outcomes.items()})
+        denominator = math.lcm(*(w.denominator for row in rational for _, w in row.values()))
+        table = tuple(
+            {c: (*ab, int(w * denominator)) for c, (ab, w) in row.items()} for row in rational
+        )
+        return cls(tuple(labels), table, denominator, N)
 
 
 class ChshReport(NamedTuple):
@@ -281,8 +267,7 @@ def build_bell_ensemble(settings: MeasurementSettings) -> BellEnsemble:
     )
     c00, c01, c10, c11 = CONTEXTS
     labels: list[str] = []
-    outcomes: list[dict[ContextPair, tuple[int, int]]] = []
-    weights: list[dict[ContextPair, int]] = []
+    atoms: list[dict[ContextPair, tuple[int, int, int]]] = []
     for name, first, k_first, second, k_second in (
         ("same:", c00, k00, c11, k11),
         ("diff:", c01, k01, c10, k10),
@@ -290,24 +275,22 @@ def build_bell_ensemble(settings: MeasurementSettings) -> BellEnsemble:
         for (a, b, a2, b2), signs in zip(_ASSIGNMENTS, _SIGNS):
             weight = (N - a * b * k_first) * (N - a2 * b2 * k_second)
             labels.append(name + signs)
-            outcomes.append({first: (a, b), second: (a2, b2)})
-            weights.append({first: weight, second: weight})
-    return BellEnsemble(tuple(labels), tuple(outcomes), tuple(weights), 32 * N * N, N)
+            atoms.append({first: (a, b, weight), second: (a2, b2, weight)})
+    return BellEnsemble(tuple(labels), tuple(atoms), 32 * N * N, N)
 
 
 def chsh_value(ensemble: BellEnsemble) -> ChshReport:
     """Exact CHSH report with conditional normalization per context:
     p(point | context) is the point's weight divided by the total weight of
     the points defined in that context."""
+    columns = {context: [] for context in CONTEXTS}
+    for atom in ensemble.atoms:
+        for context, row in atom.items():
+            columns[context].append(row)
     correlations, marginals_a, marginals_b = {}, {}, {}
-    for context in CONTEXTS:
+    for context, column in columns.items():
         total = sum_ab = sum_a = sum_b = 0
-        for outcomes, weights in zip(ensemble.outcomes, ensemble.weights):
-            pair = outcomes.get(context)
-            if pair is None:
-                continue
-            a, b = pair
-            w = weights[context]
+        for a, b, w in column:
             total += w
             sum_ab += a * b * w
             sum_a += a * w
@@ -333,25 +316,25 @@ def free_choice_violations(ensemble: BellEnsemble) -> list[str]:
     zero weight counts as the conditional 0/1, also in a context of zero
     total."""
     totals = dict.fromkeys(CONTEXTS, 0)
-    for weights in ensemble.weights:
-        for context, w in weights.items():
+    for atom in ensemble.atoms:
+        for context, (_, _, w) in atom.items():
             totals[context] += w
     violations: list[str] = []
-    for label, outcomes, weights in zip(ensemble.labels, ensemble.outcomes, ensemble.weights):
-        defined = sorted(outcomes)
+    for label, atom in zip(ensemble.labels, ensemble.atoms):
+        defined = sorted(atom)
         if not defined:
             violations.append(f"{label}: defines no contexts at all")
             continue
         for context in defined:
-            if _PARTNERS[context] not in outcomes:
+            if _PARTNERS[context] not in atom:
                 violations.append(
                     f"{label}: defined in {tuple(context)} but not in its"
                     f" admissible partner {tuple(_PARTNERS[context])}"
                 )
         first, *others = defined
-        w0, t0 = (weights[first], totals[first]) if weights[first] else (0, 1)
+        w0, t0 = (atom[first][2], totals[first]) if atom[first][2] else (0, 1)
         for context in others:
-            w, t = (weights[context], totals[context]) if weights[context] else (0, 1)
+            w, t = (atom[context][2], totals[context]) if atom[context][2] else (0, 1)
             if w * t0 != w0 * t:
                 violations.append(f"{label}: conditional weight differs across defined contexts")
                 break
@@ -365,21 +348,28 @@ def verify_free_choice_on_IU(ensemble: BellEnsemble) -> bool:
     return not free_choice_violations(ensemble)
 
 
+def _local_values(label: str, atom: Mapping, violations: list[str]) -> tuple[dict, dict]:
+    """The atom's outcome a for each x and b for each y, read in context
+    order. Each value that contradicts an earlier one appends a diagnostic
+    to ``violations``."""
+    a_by_x, b_by_y = {}, {}
+    for context in sorted(atom):
+        a, b, _ = atom[context]
+        if a_by_x.setdefault(context.x, a) != a:
+            violations.append(f"{label}: outcome a at x={context.x} depends on y")
+        if b_by_y.setdefault(context.y, b) != b:
+            violations.append(f"{label}: outcome b at y={context.y} depends on x")
+    return a_by_x, b_by_y
+
+
 def local_causality_violations(ensemble: BellEnsemble) -> list[str]:
     """Diagnostics for the weakened local-causality condition: within each
     point, outcome a may depend only on x and outcome b only on y. Checked
     as conflict-freedom of the induced assignments, not inferred from the
     context structure."""
     violations: list[str] = []
-    for label, outcomes in zip(ensemble.labels, ensemble.outcomes):
-        a_by_x: dict[int, int] = {}
-        b_by_y: dict[int, int] = {}
-        for context in sorted(outcomes):
-            a, b = outcomes[context]
-            if a_by_x.setdefault(context.x, a) != a:
-                violations.append(f"{label}: outcome a at x={context.x} depends on y")
-            if b_by_y.setdefault(context.y, b) != b:
-                violations.append(f"{label}: outcome b at y={context.y} depends on x")
+    for label, atom in zip(ensemble.labels, ensemble.atoms):
+        _local_values(label, atom, violations)
     return violations
 
 
@@ -396,24 +386,19 @@ def collapse_contexts(ensemble: BellEnsemble) -> BellEnsemble:
     context-independent weights, so its CHSH combination is bounded by the
     deterministic maximum of 2 no matter what the source ensemble achieved.
     """
-    outcomes, weights = [], []
-    for label, atom_outcomes, atom_weights in zip(
-        ensemble.labels, ensemble.outcomes, ensemble.weights
-    ):
-        a_by_x: dict[int, int] = {}
-        b_by_y: dict[int, int] = {}
-        for context, (a, b) in atom_outcomes.items():
-            if a_by_x.setdefault(context.x, a) != a or b_by_y.setdefault(context.y, b) != b:
-                raise ValueError(f"{label}: inconsistent local assignment")
-        if set(a_by_x) != {0, 1} or set(b_by_y) != {0, 1}:
+    atoms = []
+    for label, atom in zip(ensemble.labels, ensemble.atoms):
+        conflicts: list[str] = []
+        a_by_x, b_by_y = _local_values(label, atom, conflicts)
+        if conflicts:
+            raise ValueError(f"{label}: inconsistent local assignment")
+        if len(a_by_x) != 2 or len(b_by_y) != 2:
             raise ValueError(f"{label}: atom does not determine all four local values")
-        if len(set(atom_weights.values())) != 1:
+        weights = {w for _, _, w in atom.values()}
+        if len(weights) != 1:
             raise ValueError(f"{label}: weight differs across its contexts")
-        outcomes.append({c: (a_by_x[c.x], b_by_y[c.y]) for c in CONTEXTS})
-        weights.append(dict.fromkeys(CONTEXTS, max(atom_weights.values())))
-    return BellEnsemble(
-        ensemble.labels, tuple(outcomes), tuple(weights), ensemble.denominator, ensemble.N
-    )
+        atoms.append({c: (a_by_x[c.x], b_by_y[c.y], *weights) for c in CONTEXTS})
+    return BellEnsemble(ensemble.labels, tuple(atoms), ensemble.denominator, ensemble.N)
 
 
 def classical_chsh_max() -> Fraction:

@@ -426,9 +426,14 @@ def cmd_padic(args: argparse.Namespace) -> dict:
     width = max(len(digits_a), len(digits_b))
     digits_a += (0,) * (width - len(digits_a))
     digits_b += (0,) * (width - len(digits_b))
-    distance = ultrametric_distance(
-        DigitString(args.base, digits_a), DigitString(args.base, digits_b)
-    )
+    strings = DigitString(args.base, digits_a), DigitString(args.base, digits_b)
+    # The distance is base**-k at the first differing digit k, and base**k is
+    # at least 2**((bits of base - 1) * k): refuse that bound past the digit
+    # limit before computing the power. Below it the power is cheap.
+    k = next((i for i, (x, y) in enumerate(zip(digits_a, digits_b), 1) if x != y), 0)
+    if (args.base.bit_length() - 1) * k >= _INT_BOUND.bit_length():
+        raise _too_wide("an output integer")
+    distance = ultrametric_distance(*strings)
     return {
         "base": args.base,
         "digits_a": ",".join(str(d) for d in digits_a),

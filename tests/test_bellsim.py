@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -140,15 +141,16 @@ def test_tsirelson_16_gives_exact_s():
 def _atom_weights(ensemble):
     # Each built atom carries one weight in both of its contexts; return
     # those weights as exact rationals.
-    assert all(len(set(weights.values())) == 1 for weights in ensemble.weights)
-    return [Fraction(max(weights.values()), ensemble.denominator) for weights in ensemble.weights]
+    weights = [{w for _, _, w in atom.values()} for atom in ensemble.atoms]
+    assert all(len(atom_weights) == 1 for atom_weights in weights)
+    return [Fraction(max(atom_weights), ensemble.denominator) for atom_weights in weights]
 
 
 def test_atom_structure_and_weights():
     ensemble = build_bell_ensemble(tsirelson_settings(16))
     assert len(ensemble.labels) == 32
     assert sum(_atom_weights(ensemble)) == 1
-    for label, outcomes, weight in zip(ensemble.labels, ensemble.outcomes, _atom_weights(ensemble)):
+    for label, outcomes, weight in zip(ensemble.labels, ensemble.atoms, _atom_weights(ensemble)):
         assert weight >= 0
         expected = (
             {C00, C11} if label.startswith("same:") else {C01, C10}
@@ -191,7 +193,7 @@ def test_verifiers_hold_on_all_built_ensembles(measurement):
 @given(settings_strategy())
 def test_collapsed_ensembles_respect_classical_bound(measurement):
     collapsed = collapse_contexts(build_bell_ensemble(measurement))
-    for outcomes in collapsed.outcomes:
+    for outcomes in collapsed.atoms:
         assert set(outcomes) == set(CONTEXTS)
     report = chsh_value(collapsed)
     assert abs(report.s_value) <= 2
@@ -242,7 +244,11 @@ def test_hand_built_weights_scale_to_one_denominator():
         2,
     )
     assert ensemble.denominator == 12
-    assert ensemble.weights == ({C00: 2, C11: 3}, {C00: 4, C11: 3}, {C01: 6, C10: 6})
+    assert ensemble.atoms == (
+        {C00: (1, 1, 2), C11: (1, -1, 3)},
+        {C00: (-1, 1, 4), C11: (1, 1, 3)},
+        {C01: (1, 1, 6), C10: (-1, -1, 6)},
+    )
     report = chsh_value(ensemble)
     assert report.correlations == {C00: Fraction(-1, 3), C01: 1, C10: 1, C11: 0}
     assert report.marginals_a == {C00: Fraction(-1, 3), C01: 1, C10: -1, C11: 1}
@@ -250,24 +256,93 @@ def test_hand_built_weights_scale_to_one_denominator():
     assert report.s_value == Fraction(5, 3)
     # A defined context the weights leave out weighs 0.
     partial = BellEnsemble.from_atoms([("z", {C00: (1, 1), C11: (1, 1)}, {C00: Fraction(1, 3)})], 2)
-    assert (partial.weights, partial.denominator) == (({C00: 1, C11: 0},), 3)
+    assert (partial.atoms, partial.denominator) == (({C00: (1, 1, 1), C11: (1, 1, 0)},), 3)
+
+
+@st.composite
+def hand_built_atoms(draw):
+    # 1 to 5 atoms, each defined on any subset of the four contexts with
+    # +1/-1 outcomes and rational weights, zeros included. Complement pairs
+    # and one weight per atom are drawn often, so that both verdicts of
+    # each verifier and nonzero context totals are common.
+    contexts = st.sampled_from([(C00, C11), (C01, C10), CONTEXTS]) | st.sets(
+        st.sampled_from(CONTEXTS)
+    ).map(sorted)
+    sign = st.sampled_from((1, -1))
+    weight = st.fractions(min_value=0, max_value=2, max_denominator=6)
+    atoms = []
+    for i in range(draw(st.integers(min_value=1, max_value=5))):
+        defined = draw(contexts)
+        outcomes = {c: (draw(sign), draw(sign)) for c in defined}
+        if draw(st.booleans()):
+            weights = dict.fromkeys(defined, draw(weight))
+        else:
+            weights = {c: draw(weight) for c in defined}
+        atoms.append((f"atom{i}", outcomes, weights))
+    return atoms
+
+
+@settings(max_examples=150, deadline=None)
+@given(hand_built_atoms())
+def test_hand_built_ensembles_match_direct_fraction_sums(atoms):
+    # Every expectation is recomputed here from the drawn atoms in Fractions.
+    ensemble = BellEnsemble.from_atoms(atoms, 2)
+    totals = {c: sum((ws[c] for _, outs, ws in atoms if c in outs), Fraction(0)) for c in CONTEXTS}
+
+    def weighted(c, value):
+        return sum(value(*outs[c]) * ws[c] for _, outs, ws in atoms if c in outs) / totals[c]
+
+    zero = [c for c in CONTEXTS if totals[c] == 0]
+    if zero:
+        with pytest.raises(ValueError, match=re.escape(f"context {tuple(zero[0])} carries zero")):
+            chsh_value(ensemble)
+    else:
+        report = chsh_value(ensemble)
+        correlations = {c: weighted(c, lambda a, b: a * b) for c in CONTEXTS}
+        assert report.correlations == correlations
+        assert report.marginals_a == {c: weighted(c, lambda a, b: a) for c in CONTEXTS}
+        assert report.marginals_b == {c: weighted(c, lambda a, b: b) for c in CONTEXTS}
+        assert report.s_value == (
+            correlations[C00] + correlations[C01] + correlations[C10] - correlations[C11]
+        )
+
+    def conditional(ws, c):
+        return ws[c] / totals[c] if ws[c] else Fraction(0)
+
+    free = all(
+        outs
+        and all((1 - x, 1 - y) in outs for x, y in outs)
+        and len({conditional(ws, c) for c in outs}) == 1
+        for _, outs, ws in atoms
+    )
+    assert (free_choice_violations(ensemble) == []) == free
+
+    conflicts = set()
+    for label, outs, _ in atoms:
+        for bit in (0, 1):
+            if (bit, 0) in outs and (bit, 1) in outs and outs[bit, 0][0] != outs[bit, 1][0]:
+                conflicts.add(f"{label}: outcome a at x={bit} depends on y")
+            if (0, bit) in outs and (1, bit) in outs and outs[0, bit][1] != outs[1, bit][1]:
+                conflicts.add(f"{label}: outcome b at y={bit} depends on x")
+    found = local_causality_violations(ensemble)
+    assert len(found) == len(conflicts) and set(found) == conflicts
 
 
 def test_ensemble_rejects_malformed_columns():
     with pytest.raises(ValueError, match=r"x: outcomes must be \+1 or -1"):
         BellEnsemble.from_atoms([("x", {C00: (2, 1)}, {C00: 1})], 2)
+    with pytest.raises(ValueError, match=r"x: outcomes must be \+1 or -1"):
+        BellEnsemble.from_atoms([("x", {C00: (1,)}, {C00: 1})], 2)
     with pytest.raises(ValueError, match="x: weights must be nonnegative integers"):
         BellEnsemble.from_atoms([("x", {C00: (1, 1)}, {C00: -1})], 2)
     with pytest.raises(ValueError, match="x: contexts must be pairs of bits"):
         BellEnsemble.from_atoms([("x", {(2, 0): (1, 1)}, {(2, 0): 1})], 2)
-    with pytest.raises(ValueError, match="x: weights must cover exactly the defined contexts"):
-        BellEnsemble(("x",), ({C00: (1, 1)},), ({C11: 1},), 1, 2)
     with pytest.raises(ValueError, match="x: weights must be nonnegative integers"):
-        BellEnsemble(("x",), ({C00: (1, 1)},), ({C00: Fraction(1, 2)},), 1, 2)
+        BellEnsemble(("x",), ({C00: (1, 1, Fraction(1, 2))},), 1, 2)
     with pytest.raises(ValueError, match="positive integer"):
-        BellEnsemble((), (), (), 0, 2)
+        BellEnsemble((), (), 0, 2)
     with pytest.raises(ValueError):
-        BellEnsemble(("x", "y"), ({},), ({},), 1, 2)
+        BellEnsemble(("x", "y"), ({},), 1, 2)
 
 
 def test_ensemble_validation_names_the_first_malformed_atom():
@@ -275,9 +350,7 @@ def test_ensemble_validation_names_the_first_malformed_atom():
     with pytest.raises(ValueError, match=r"^bad: outcomes must be \+1 or -1"):
         BellEnsemble.from_atoms([good, ("bad", {C00: (1, 0)}, {C00: 1}), good], 2)
     with pytest.raises(ValueError, match="^bad: weights must be nonnegative integers"):
-        BellEnsemble(
-            ("good", "bad"), ({C00: (1, 1)}, {C11: (1, 1)}), ({C00: 1}, {C11: 1.0}), 2, 2
-        )
+        BellEnsemble(("good", "bad"), ({C00: (1, 1, 1)}, {C11: (1, 1, 1.0)}), 2, 2)
 
 
 # --- verifier edge cases ----------------------------------------------------------

@@ -180,3 +180,21 @@ def test_state_file_whose_sum_of_m_passes_the_digit_limit_is_refused(tmp_path):
     amp = '{"m": ' + "9" * DIGITS + ', "phase_turns": "0"}'
     path.write_text('{"N": 2, "amps": [' + amp + ", " + amp + "]}")
     _assert_refused_by_digit_limit(*_run("validate", "--state", str(path)))
+
+
+def test_ultrametric_distance_past_the_digit_limit_is_refused_before_the_power():
+    # With base 10**4000 and the first difference at digit 8,000 the
+    # distance's denominator would have 32,000,001 digits.
+    base = str(10**4000)
+    digits = ["0"] * 8000
+    differing = ",".join(digits[:-1] + ["1"])
+    _assert_refused_by_digit_limit(
+        *_run("padic", "--ultrametric", ",".join(digits), differing, "--base", base)
+    )
+    # 10**4299 has 4,300 digits, so base 10 still prints at digit 4,299.
+    digits = ["0"] * 4299
+    differing = ",".join(digits[:-1] + ["1"])
+    result, elapsed = _run("padic", "--ultrametric", ",".join(digits), differing, "--base", "10")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["distance"] == f"1/{10**4299}"
+    assert elapsed < 2.0, f"{elapsed:.2f}s"
