@@ -17,8 +17,9 @@ locally.
 
 An ensemble is one table: atom i maps each context where it is defined to
 (a, b, w), its two outcomes there and its weight w over one shared
-denominator. Every sum and comparison is integer arithmetic; a Fraction is
-made only for each reported value.
+denominator. Hand-written tables are checked atom by atom; the ones built
+here are well formed by construction and trusted. Every sum and comparison
+is integer arithmetic; a Fraction is made only for each reported value.
 """
 
 from __future__ import annotations
@@ -135,15 +136,14 @@ def rational_cos_approx(target_square: Fraction | int | str, sign: int, N: int) 
         raise ValueError(f"N = {N!r} must be an integer >= 2")
     p, q = target_square.numerator, target_square.denominator
     lower = math.isqrt(N * N * p * q) // q
+    # lower/N <= sqrt(t) < (lower+1)/N; below N, the midpoint test on
+    # squares picks the closer endpoint, with ties going to the smaller n.
     if lower >= N:
         best = N
+    elif 4 * p * N * N <= (2 * lower + 1) ** 2 * q:
+        best = lower
     else:
-        # lower/N <= sqrt(t) < (lower+1)/N; the midpoint test on squares
-        # picks the closer endpoint, with ties going to the smaller n.
-        if 4 * p * N * N <= (2 * lower + 1) ** 2 * q:
-            best = lower
-        else:
-            best = lower + 1
+        best = lower + 1
     return Fraction(sign * best, N)
 
 
@@ -214,20 +214,32 @@ class BellEnsemble(_Frozen):
             for _, _, w in atom.values():
                 if not isinstance(w, int) or w < 0:
                     raise ValueError(f"{label}: weights must be nonnegative integers")
+            if not all(isinstance(context, ContextPair) for context in atom):
+                raise ValueError(f"{label}: context keys must be ContextPair values")
+
+    @classmethod
+    def _trusted(cls, *fields) -> BellEnsemble:
+        """Fields well formed by construction, set without the per-atom check."""
+        ensemble = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(ensemble, name, value)
+        return ensemble
 
     @classmethod
     def from_atoms(cls, atoms: Iterable[tuple[str, Mapping, Mapping]], N: int) -> BellEnsemble:
         """Ensemble from hand-written atoms ``(label, outcomes, weights)``.
 
         ``outcomes`` maps each context the atom defines to (a, b);
-        ``weights`` maps contexts to rational weights, and a defined
-        context it leaves out weighs 0. The weights are scaled to integer
-        numerators over their least common denominator.
+        ``weights`` maps defined contexts to rational weights, and a
+        defined context it leaves out weighs 0. The weights are scaled to
+        integer numerators over their least common denominator.
         """
         labels, rational = [], []
         for label, atom_outcomes, atom_weights in atoms:
             given = {ContextPair(*c): as_rational(w) for c, w in dict(atom_weights).items()}
             outcomes = {ContextPair(*c): tuple(ab) for c, ab in dict(atom_outcomes).items()}
+            if stray := [c for c in given if c not in outcomes]:
+                raise ValueError(f"{label}: weight given for undefined context {tuple(stray[0])}")
             labels.append(label)
             rational.append({c: (ab, given.get(c, Fraction(0))) for c, ab in outcomes.items()})
         denominator = math.lcm(*(w.denominator for row in rational for _, w in row.values()))
@@ -276,7 +288,7 @@ def build_bell_ensemble(settings: MeasurementSettings) -> BellEnsemble:
             weight = (N - a * b * k_first) * (N - a2 * b2 * k_second)
             labels.append(name + signs)
             atoms.append({first: (a, b, weight), second: (a2, b2, weight)})
-    return BellEnsemble(tuple(labels), tuple(atoms), 32 * N * N, N)
+    return BellEnsemble._trusted(tuple(labels), tuple(atoms), 32 * N * N, N)
 
 
 def chsh_value(ensemble: BellEnsemble) -> ChshReport:
@@ -287,7 +299,7 @@ def chsh_value(ensemble: BellEnsemble) -> ChshReport:
     for atom in ensemble.atoms:
         for context, row in atom.items():
             columns[context].append(row)
-    correlations, marginals_a, marginals_b = {}, {}, {}
+    correlations, marginals_a, marginals_b, sums = {}, {}, {}, []
     for context, column in columns.items():
         total = sum_ab = sum_a = sum_b = 0
         for a, b, w in column:
@@ -297,11 +309,14 @@ def chsh_value(ensemble: BellEnsemble) -> ChshReport:
             sum_b += b * w
         if total == 0:
             raise ValueError(f"context {tuple(context)} carries zero total weight")
+        sums.append((sum_ab, total))
         correlations[context] = Fraction(sum_ab, total)
         marginals_a[context] = Fraction(sum_a, total)
         marginals_b[context] = Fraction(sum_b, total)
-    c00, c01, c10, c11 = CONTEXTS
-    s_value = correlations[c00] + correlations[c01] + correlations[c10] - correlations[c11]
+    # S = E00 + E01 + E10 - E11 over the product of the totals, reduced once.
+    (s00, t00), (s01, t01), (s10, t10), (s11, t11) = sums
+    numerator = ((s00 * t01 + s01 * t00) * t10 + s10 * t00 * t01) * t11 - s11 * t00 * t01 * t10
+    s_value = Fraction(numerator, t00 * t01 * t10 * t11)
     return ChshReport(correlations, marginals_a, marginals_b, s_value, TSIRELSON_2SQRT2)
 
 
@@ -398,16 +413,13 @@ def collapse_contexts(ensemble: BellEnsemble) -> BellEnsemble:
         if len(weights) != 1:
             raise ValueError(f"{label}: weight differs across its contexts")
         atoms.append({c: (a_by_x[c.x], b_by_y[c.y], *weights) for c in CONTEXTS})
-    return BellEnsemble(ensemble.labels, tuple(atoms), ensemble.denominator, ensemble.N)
+    return BellEnsemble._trusted(ensemble.labels, tuple(atoms), ensemble.denominator, ensemble.N)
 
 
 def classical_chsh_max() -> Fraction:
     """Exhaustive maximum of the CHSH combination over all 16 deterministic
     local strategies: exactly 2. Every context-independent mixture is a
     convex combination of these, so 2 bounds every conventional model."""
-    best: int | None = None
-    for a0, a1, b0, b1 in product(_PM, repeat=4):
-        s = a0 * b0 + a0 * b1 + a1 * b0 - a1 * b1
-        if best is None or s > best:
-            best = s
-    return Fraction(best)
+    return Fraction(
+        max(a0 * b0 + a0 * b1 + a1 * b0 - a1 * b1 for a0, a1, b0, b1 in product(_PM, repeat=4))
+    )

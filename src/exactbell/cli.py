@@ -172,7 +172,6 @@ def build_parser() -> _Parser:
 
     p = commands.add_parser("niven", parents=[common], help="classify cos of a rational turn")
     p.add_argument("turns", type=_angle_arg, help="angle as a fraction of a full turn, e.g. 1/6")
-    p.set_defaults(handler=cmd_niven)
 
     p = commands.add_parser(
         "counterfactual",
@@ -188,7 +187,6 @@ def build_parser() -> _Parser:
         default=Fraction(1),
         help="base weight to propagate through the context table (default 1)",
     )
-    p.set_defaults(handler=cmd_counterfactual)
 
     p = commands.add_parser(
         "superpose",
@@ -197,7 +195,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("phi1", type=_angle_arg, help="first azimuth in turns")
     p.add_argument("phi2", type=_angle_arg, help="second azimuth in turns")
-    p.set_defaults(handler=cmd_superpose)
 
     p = commands.add_parser("chsh", parents=[common], help="exact CHSH report for one N")
     p.add_argument("--N", type=int, required=True, help="grid denominator")
@@ -213,14 +210,12 @@ def build_parser() -> _Parser:
         action="store_true",
         help="cross-check correlations against the floating-point spin oracle",
     )
-    p.set_defaults(handler=cmd_chsh)
 
     p = commands.add_parser("sweep", parents=[common], help="CHSH reports across several N")
     p.add_argument("--N", type=_int_list_arg, required=True, help="comma-separated N values")
     p.add_argument("--auto-tsirelson", action="store_true")
     for name in ("cos00", "cos01", "cos10", "cos11"):
         p.add_argument(f"--{name}", type=_rational_arg)
-    p.set_defaults(handler=cmd_sweep)
 
     p = commands.add_parser("bits", parents=[common], help="doubling-map bit strings")
     group = p.add_mutually_exclusive_group(required=True)
@@ -232,7 +227,6 @@ def build_parser() -> _Parser:
         action="store_true",
         help="read the string as one endlessly repeating block (with --to-seed)",
     )
-    p.set_defaults(handler=cmd_bits)
 
     p = commands.add_parser("padic", parents=[common], help="p-adic valuation / digit ultrametric")
     group = p.add_mutually_exclusive_group(required=True)
@@ -249,7 +243,6 @@ def build_parser() -> _Parser:
         help="distance between two comma-separated digit strings",
     )
     p.add_argument("--base", type=int, help="digit base for --ultrametric")
-    p.set_defaults(handler=cmd_padic)
 
     p = commands.add_parser("validate", parents=[common], help="admissibility diagnostics")
     group = p.add_mutually_exclusive_group(required=True)
@@ -262,7 +255,6 @@ def build_parser() -> _Parser:
     p.add_argument("--cos-theta", type=_rational_arg)
     p.add_argument("--phi", type=_angle_arg, default=RationalAngle(Fraction(0)))
     p.add_argument("--N", type=int)
-    p.set_defaults(handler=cmd_validate)
 
     return parser
 
@@ -605,7 +597,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload = args.handler(args)
+        # Looked up at call time, so the current module binding is called.
+        payload = globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"exactbell: error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -31,6 +32,7 @@ from exactbell.bellsim import (
     verify_free_choice_on_IU,
     verify_local_causality_on_IU,
 )
+from exactbell.ontology import ContextPair
 from exactbell.oracle import spin_operator_oracle
 
 C00, C01, C10, C11 = CONTEXTS
@@ -199,6 +201,32 @@ def test_collapsed_ensembles_respect_classical_bound(measurement):
     assert abs(report.s_value) <= 2
 
 
+def _seeded_settings(count=40, seed=2019):
+    # Tsirelson and random grid settings for N of 2 to 200 bits.
+    rng = random.Random(seed)
+    for _ in range(count):
+        bits = rng.randint(2, 200)
+        n = rng.randint(1 << (bits - 1), (1 << bits) - 1)
+        yield tsirelson_settings(n)
+        yield MeasurementSettings(*(Fraction(rng.randint(-n, n), n) for _ in range(4)), n)
+
+
+def test_built_and_collapsed_ensembles_pass_the_public_check():
+    # build_bell_ensemble and collapse_contexts skip the per-atom check that
+    # BellEnsemble(...) runs; what they make must pass it unchanged, and S
+    # reduced once must equal the sum of the four reduced correlations.
+    for measurement in _seeded_settings():
+        built = build_bell_ensemble(measurement)
+        for ensemble in (built, collapse_contexts(built)):
+            atoms = tuple(dict(atom) for atom in ensemble.atoms)
+            checked = BellEnsemble(ensemble.labels, atoms, ensemble.denominator, ensemble.N)
+            assert checked == ensemble
+            report = chsh_value(ensemble)
+            e = report.correlations
+            assert report.s_value == e[C00] + e[C01] + e[C10] - e[C11]
+            assert report == chsh_value(checked)
+
+
 def test_collapse_loses_the_violation_but_keeps_the_bound():
     ensemble = build_bell_ensemble(tsirelson_settings(16))
     assert abs(chsh_value(ensemble).s_value) > 2
@@ -343,6 +371,22 @@ def test_ensemble_rejects_malformed_columns():
         BellEnsemble((), (), 0, 2)
     with pytest.raises(ValueError):
         BellEnsemble(("x", "y"), ({},), 1, 2)
+
+
+def test_ensemble_refuses_plain_tuple_context_keys():
+    # A plain (x, y) tuple hashes and compares equal to its ContextPair, but
+    # the verifiers and collapse_contexts read context.x and context.y.
+    with pytest.raises(ValueError, match="^x: context keys must be ContextPair values"):
+        BellEnsemble(("x",), ({(0, 0): (1, 1, 1), (1, 1): (1, 1, 1)},), 1, 2)
+    # from_atoms converts plain tuples, so its ensembles read as ContextPairs.
+    ensemble = BellEnsemble.from_atoms([("x", {(0, 0): (1, 1), (1, 1): (1, 1)}, {(0, 0): 1})], 2)
+    assert local_causality_violations(ensemble) == []
+    assert all(type(c) is ContextPair for c in ensemble.atoms[0])
+
+
+def test_from_atoms_refuses_a_weight_for_an_undefined_context():
+    with pytest.raises(ValueError, match=re.escape("y: weight given for undefined context (0, 1)")):
+        BellEnsemble.from_atoms([("y", {(0, 0): (1, 1)}, {(0, 1): 1})], 2)
 
 
 def test_ensemble_validation_names_the_first_malformed_atom():

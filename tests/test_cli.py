@@ -372,6 +372,21 @@ def test_every_subcommand_runs_clean(capsys, argv):
     assert out
 
 
+def test_main_calls_the_handler_bound_at_call_time(monkeypatch, capsys):
+    # The parser is built once per process; a cmd_* rebound after that (as
+    # a tracing wrapper is) must still be the function main() calls.
+    cli.build_parser()
+    original, calls = cli.cmd_niven, []
+
+    def rebound(args):
+        calls.append(args.command)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_niven", rebound)
+    code, out, _ = run_cli(capsys, "niven", "1/6")
+    assert (code, json.loads(out), calls) == (0, {"cos": "1/2"}, ["niven"])
+
+
 _THIRD_PARTY_IMPORTS = """
 import sys
 before = set(sys.modules)
